@@ -28,6 +28,7 @@ from .channels import (
     Unravelling,
     is_last_tooth_exact,
     last_tooth_candidates,
+    last_tooth_marginals,
     reduce_channel,
 )
 from .sampling import (
@@ -42,14 +43,16 @@ from .sampling import (
     swaptest_estimate,
 )
 from .tensors import (
+    DEFAULT_RANK_RTOL,
     LabelledMatrix,
-    aligned,
+    _psd_eigenvalues,
+    _rank_eta_of_spectrum,
+    _truncation_error_of_spectrum,
     maximally_mixed,
     permute_wires,
     rank_eta,
     tensor_product,
     trace_out,
-    truncation_error,
 )
 
 # Achieved truncation errors below this are floating-point dust from an
@@ -80,7 +83,8 @@ class UnravelParams:
     accuracy) are derived unless overridden: with a rank bound r the pair is
     (chi_min^2 / (8 d_A r), delta/5); without one the approximate-rank recipe
     (2 eta_max^2, delta/4) applies.  The per-test confidence is
-    kappa0 / (3 n^3), sized for the worst-case number of tests.
+    kappa0 / (3 n^3), sized for the worst-case number of tests.  ``tol`` is
+    the exact-mode residual threshold.
     """
 
     chi_min: float = 0.1
@@ -92,6 +96,7 @@ class UnravelParams:
     rank_bound: int | None = None
     eta_max: float = 1e-2
     seed: int = 0
+    tol: float = DEFAULT_EXACT_TOL
 
     def __post_init__(self) -> None:
         if self.chi_min <= 0:
@@ -158,6 +163,11 @@ def check_rank_certificate(
     return rank_eta(marginal, eta_max) <= r_max
 
 
+def query_budget(n: int, n_swap: int) -> int:
+    """Worst-case queries of a c=1 sampled run: 3 n^3 tests of n_swap shots."""
+    return 3 * n**3 * n_swap
+
+
 def error_bound_approximate(cert: RankCertificate, m: int) -> float:
     """Trace-norm error bound 8 sqrt(2) m r_max^(1/4) eta_max^(1/2)."""
     if m < 0:
@@ -203,18 +213,6 @@ class UnravelResult:
 # -- last-tooth checking --------------------------------------------------------
 
 
-def _marginal_pair(
-    p: ProcessMatrix, P: Iterable[str], Q: Iterable[str]
-) -> tuple[LabelledMatrix, LabelledMatrix]:
-    """The two states whose equality certifies (P, Q) as a last tooth."""
-    P, Q = set(P), set(Q)
-    c1 = trace_out(p.choi, Q)
-    rest = trace_out(p.choi, P | Q)
-    p_wires = tuple(w for w in p.inputs if w.label in P)
-    c2 = rest if not P else tensor_product(rest, maximally_mixed(p_wires))
-    return c1, aligned(c2, c1)
-
-
 def sampled_last_tooth_statistic(
     p: ProcessMatrix,
     P: Iterable[str],
@@ -230,7 +228,7 @@ def sampled_last_tooth_statistic(
     each from its own batch of shots; every shot consumes two prepared
     states, i.e. two process queries.
     """
-    c1, c2 = _marginal_pair(p, P, Q)
+    c1, c2 = last_tooth_marginals(p, P, Q)
     n_shots = swaptest_draw_count(eps, kappa)
     p1 = swaptest_estimate(c1, c1, eps, kappa, rng.child(0))
     p2 = swaptest_estimate(c2, c2, eps, kappa, rng.child(1))
@@ -251,14 +249,14 @@ def check_last(
 ) -> bool:
     """Decide whether (P, Q) can be the last step of an unravelling.
 
-    Exact mode compares the factorization residual to a fixed tolerance;
+    Exact mode compares the factorization residual to ``params.tol``;
     sampled mode thresholds the SWAP-test distance statistic at delta.
     """
     P, Q = set(P), set(Q)
     if max(len(P), len(Q)) > params.c:
         raise ValueError(f"candidate exceeds the block-size cap c={params.c}")
     if params.mode == "exact":
-        return is_last_tooth_exact(p, P, Q, DEFAULT_EXACT_TOL)
+        return is_last_tooth_exact(p, P, Q, params.tol)
     if derived is None:
         derived = params.derived(
             max(len(p.inputs), len(p.outputs)), max(w.dim for w in p.inputs)
@@ -271,6 +269,19 @@ def check_last(
 
 
 # -- the general recursion ---------------------------------------------------------
+
+
+def certify(marg: LabelledMatrix, eta_max: float) -> tuple[float, int]:
+    """Rank certificate entry (eta, r) of one marginal, from a single spectrum.
+
+    eta is the truncation error of the smallest rank within eta_max of the
+    marginal, snapped to zero below CERT_ETA_SNAP; r is the rank at eta.
+    """
+    w = _psd_eigenvalues(marg)
+    eta = _truncation_error_of_spectrum(w, _rank_eta_of_spectrum(w, eta_max, DEFAULT_RANK_RTOL))
+    if eta < CERT_ETA_SNAP:
+        eta = 0.0
+    return eta, _rank_eta_of_spectrum(w, eta, DEFAULT_RANK_RTOL)
 
 
 def unravel_general_c(
@@ -292,18 +303,10 @@ def unravel_general_c(
     derived = params.derived(n, d_a)
     sampled = params.mode == "sampled"
     n_swap = swaptest_draw_count(derived[1], derived[2]) if sampled else 0
-    warnings: list[str] = []
     steps_rev: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
     cert_rev: list[tuple[float, int]] = []
     cur = p
     check_idx = 0
-
-    def certify(marg: LabelledMatrix) -> tuple[float, int]:
-        r_screen = rank_eta(marg, params.eta_max)
-        eta = truncation_error(marg, r_screen)
-        if eta < CERT_ETA_SNAP:
-            eta = 0.0
-        return eta, rank_eta(marg, eta)
 
     while True:
         ins = cur.input_labels
@@ -320,10 +323,8 @@ def unravel_general_c(
             found = (ins, outs)
             if not ins and not outs:
                 break
-        if params.mode == "exact":
-            assert is_last_tooth_exact(cur, found[0], found[1], DEFAULT_EXACT_TOL)
         steps_rev.append((tuple(found[0]), tuple(found[1])))
-        cert_rev.append(certify(trace_out(cur.choi, found[1])))
+        cert_rev.append(certify(trace_out(cur.choi, found[1]), params.eta_max))
         if set(found[0]) == set(ins) and set(found[1]) == set(outs):
             break
         cur = reduce_channel(cur, found[0], found[1])
@@ -335,18 +336,11 @@ def unravel_general_c(
             for k, (eta, r) in enumerate(reversed(cert_rev))
         )
     )
-    if sampled and params.c == 1:
-        budget = 3 * n**3 * n_swap
-        assert meter.count <= budget, (meter.count, budget)
+    budget = query_budget(n, n_swap)
+    if sampled and params.c == 1 and meter.count > budget:
+        raise RuntimeError(f"sampled run spent {meter.count} queries, over its budget {budget}")
     bound = error_bound_approximate(cert, len(steps))
-    return UnravelResult(
-        Unravelling(steps),
-        params.mode,
-        meter.count,
-        tuple(warnings),
-        cert,
-        bound,
-    )
+    return UnravelResult(Unravelling(steps), params.mode, meter.count, (), cert, bound)
 
 
 def unravel_recursive(

@@ -14,7 +14,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import itertools
-import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -25,10 +25,12 @@ from .tensors import (
     LabelledMatrix,
     WireSystem,
     aligned,
+    hs_norm,
     identity,
     matrix_rank,
     maximally_mixed,
     partial_trace,
+    require_psd,
     tensor_product,
     total_dim,
     trace_norm,
@@ -39,6 +41,8 @@ CHANNEL_ATOL = 1e-9
 # Factorization threshold for exact-mode structure checks; composition noise
 # for <= 10-qubit Choi matrices stays a couple of orders below this.
 DEFAULT_EXACT_TOL = 1e-8
+# Relative margin kept by the Hilbert-Schmidt screen in is_last_tooth_exact.
+HS_SCREEN_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,9 +127,7 @@ def validate_channel(
     atol: float = CHANNEL_ATOL,
 ) -> None:
     """Check PSD, unit trace, and trace preservation of a Choi state."""
-    from .tensors import _psd_eigenvalues  # shared floor semantics
-
-    _psd_eigenvalues(choi)
+    require_psd(choi)
     tr = np.trace(choi.entries)
     if abs(tr - 1.0) > atol:
         raise ValueError(f"Choi trace {tr:.12f} differs from 1 beyond {atol}")
@@ -352,7 +354,22 @@ def is_last_tooth_exact(
     Q: Iterable[str],
     tol: float = DEFAULT_EXACT_TOL,
 ) -> bool:
-    return last_tooth_residual(p, P, Q) <= tol
+    """``last_tooth_residual(p, P, Q) <= tol``, taking the trace norm only if needed.
+
+    The residual difference X on d dimensions obeys the norm sandwich
+    ||X||_2 <= ||X||_1 <= sqrt(d) ||X||_2, so its Hilbert-Schmidt norm alone
+    decides unless tol lies inside that band.  The screen keeps a relative
+    slack of HS_SCREEN_SLACK on both sides, far above the rounding of either
+    norm, so a candidate within rounding of a band edge still gets the
+    trace norm and the verdict always matches the residual's.
+    """
+    diff = _last_tooth_difference(p, P, Q)
+    hs = hs_norm(diff)
+    if hs > tol * (1.0 + HS_SCREEN_SLACK):
+        return False
+    if math.sqrt(diff.entries.shape[0]) * hs <= tol * (1.0 - HS_SCREEN_SLACK):
+        return True
+    return trace_norm(diff) <= tol
 
 
 def last_tooth_residual(p: ProcessMatrix, P: Iterable[str], Q: Iterable[str]) -> float:
@@ -361,15 +378,32 @@ def last_tooth_residual(p: ProcessMatrix, P: Iterable[str], Q: Iterable[str]) ->
     Measures || Tr_Q[C] - Tr_{P u Q}[C] x I_P/d_P ||_1; the candidate is a
     valid last tooth exactly when this vanishes.
     """
+    return trace_norm(_last_tooth_difference(p, P, Q))
+
+
+def last_tooth_marginals(
+    p: ProcessMatrix, P: Iterable[str], Q: Iterable[str]
+) -> tuple[LabelledMatrix, LabelledMatrix]:
+    """The two states whose equality certifies (P, Q) as a last tooth.
+
+    Returns Tr_Q[C] and Tr_{P u Q}[C] x I_P/d_P, the second in the first's
+    wire order.
+    """
     P = set(P)
     Q = set(Q)
     _require_subsets(p, P, Q)
-    lhs = trace_out(p.choi, Q)
+    c1 = trace_out(p.choi, Q)
     rest = trace_out(p.choi, P | Q)
     p_wires = tuple(w for w in p.inputs if w.label in P)
-    rhs = rest if not P else tensor_product(rest, maximally_mixed(p_wires))
-    diff = lhs.entries - aligned(rhs, lhs).entries
-    return trace_norm(LabelledMatrix(diff, lhs.row_wires))
+    c2 = rest if not P else tensor_product(rest, maximally_mixed(p_wires))
+    return c1, aligned(c2, c1)
+
+
+def _last_tooth_difference(
+    p: ProcessMatrix, P: Iterable[str], Q: Iterable[str]
+) -> LabelledMatrix:
+    c1, c2 = last_tooth_marginals(p, P, Q)
+    return LabelledMatrix(c1.entries - c2.entries, c1.row_wires)
 
 
 def _require_subsets(p: ProcessMatrix, P: set, Q: set) -> None:
@@ -530,7 +564,3 @@ def standardize(p: ProcessMatrix, pad_dim: int | None = None) -> ProcessMatrix:
     new_inputs = tuple(WireSystem(w.label, d_std, w.direction) for w in p.inputs)
     new_outputs = tuple(WireSystem(w.label, d_std, w.direction) for w in p.outputs)
     return choi_from_kraus(padded, new_inputs, new_outputs)
-
-
-def to_json_str(obj) -> str:
-    return json.dumps(obj.to_json(), indent=2, sort_keys=True)

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from .algorithms import (
     UnravelParams,
     UnravelResult,
+    error_bound_approximate,
+    query_budget,
     unravel_general_c,
     unravel_memoryless,
     unravel_recursive,
@@ -172,6 +173,7 @@ def cmd_unravel(args: argparse.Namespace) -> int:
                 rank_bound=args.rank_bound,
                 eta_max=args.eta_max,
                 seed=args.seed,
+                tol=args.tol,
             )
             runner = unravel_recursive if args.algorithm == "recursive" else unravel_general_c
             res = runner(proc, params, rng)
@@ -290,7 +292,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     elif "n_swap" in params:
         n, eps, kappa = params["n"], params["eps"], params["kappa"]
         n_swap = params["n_swap"]
-        budget = 3 * n**3 * n_swap
+        budget = query_budget(n, n_swap)
         print(
             f"queries: {res.queries} of budget 3*n^3*N = {budget} "
             f"(n={n}, N = ceil(2*eps^-2*ln(2/kappa)) = {n_swap}, "
@@ -316,7 +318,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         for k, eta, r in cert.records:
             print(f"  {k}: eta={eta:.3e} r={r}")
         m = len(steps)
-        bound = 8.0 * math.sqrt(2.0) * m * cert.r_max**0.25 * cert.eta_max**0.5
+        bound = error_bound_approximate(cert, m)
         print(
             f"error bound: 8*sqrt(2)*m*r_max^(1/4)*eta_max^(1/2) = {bound:.6g} "
             f"(m={m}, r_max={cert.r_max}, eta_max={cert.eta_max:g})"

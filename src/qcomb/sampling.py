@@ -369,7 +369,7 @@ def exact_cell_probabilities(
     for w, povm in enumerate(povms):
         operands.append(povm.stack())
         subs.append(out[w] + col[w] + row[w])
-    cell = np.einsum(",".join(subs) + "->" + out, *operands).real
+    cell = np.einsum(",".join(subs) + "->" + out, *operands, optimize="greedy").real
     total = float(cell.sum())
     if abs(total - 1.0) > 1e-7:
         raise SanityError(f"cell probabilities sum to {total}, not 1")

@@ -22,6 +22,8 @@ import numpy as np
 # Hermiticity is accepted up to this absolute deviation, and spectra of
 # nominally PSD matrices may dip this far below zero before we call them
 # non-PSD.  Both are double-precision allowances for <= 1024-dim matrices.
+# EIG_FLOOR is also the Cholesky shift of require_psd: m - EIG_FLOOR*I
+# factors exactly when no eigenvalue of m lies below the floor.
 HERMITIAN_ATOL = 1e-10
 EIG_FLOOR = -1e-9
 
@@ -277,13 +279,58 @@ def _psd_eigenvalues(m: LabelledMatrix) -> np.ndarray:
     return w
 
 
-def matrix_rank(m: LabelledMatrix, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
-    """Count of eigenvalues above ``rel_tol`` times the largest (PSD input)."""
-    w = _psd_eigenvalues(m)
+def require_psd(m: LabelledMatrix) -> None:
+    """Raise NotPSDError unless ``m`` is Hermitian with no eigenvalue below EIG_FLOOR.
+
+    A Cholesky factorization of ``m - EIG_FLOOR*I`` settles the common case
+    without a spectrum; only when it fails is the spectrum computed, to
+    accept a matrix that sits on the floor or to name the offending
+    eigenvalue.
+    """
+    if not m.is_hermitian():
+        raise NotPSDError("matrix is not Hermitian within 1e-10")
+    shifted = m.entries.copy()
+    shifted.flat[:: shifted.shape[0] + 1] -= EIG_FLOOR
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        _psd_eigenvalues(m)
+
+
+def _sorted_magnitudes(w: np.ndarray) -> np.ndarray:
+    return np.sort(np.abs(w))[::-1]
+
+
+def _rank_of_spectrum(w: np.ndarray, rel_tol: float) -> int:
     top = w.max(initial=0.0)
     if top <= 0.0:
         return 0
     return int(np.count_nonzero(w > rel_tol * top))
+
+
+def _rank_eta_of_spectrum(w: np.ndarray, eta: float, rel_tol: float) -> int:
+    if eta == 0:
+        return _rank_of_spectrum(w, rel_tol)
+    w = _sorted_magnitudes(w)
+    if w.max(initial=0.0) == 0.0:
+        return 0
+    tail_sq = np.concatenate([np.cumsum(w[::-1] ** 2)[::-1], [0.0]])  # tail_sq[r] for r=0..d
+    for r in range(1, len(w) + 1):
+        if np.sqrt(tail_sq[r]) <= eta:
+            return r
+    return len(w)
+
+
+def _truncation_error_of_spectrum(w: np.ndarray, r: int) -> float:
+    w = _sorted_magnitudes(w)
+    if r >= len(w):
+        return 0.0
+    return float(np.sqrt(np.sum(w[r:] ** 2)))
+
+
+def matrix_rank(m: LabelledMatrix, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
+    """Count of eigenvalues above ``rel_tol`` times the largest (PSD input)."""
+    return _rank_of_spectrum(_psd_eigenvalues(m), rel_tol)
 
 
 def rank_eta(m: LabelledMatrix, eta: float, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
@@ -296,21 +343,9 @@ def rank_eta(m: LabelledMatrix, eta: float, rel_tol: float = DEFAULT_RANK_RTOL) 
     """
     if eta < 0:
         raise ValueError(f"eta must be nonnegative, got {eta}")
-    if eta == 0:
-        return matrix_rank(m, rel_tol)
-    w = np.sort(np.abs(_psd_eigenvalues(m)))[::-1]
-    if w.max(initial=0.0) == 0.0:
-        return 0
-    tail_sq = np.concatenate([np.cumsum(w[::-1] ** 2)[::-1], [0.0]])  # tail_sq[r] for r=0..d
-    for r in range(1, len(w) + 1):
-        if np.sqrt(tail_sq[r]) <= eta:
-            return r
-    return len(w)
+    return _rank_eta_of_spectrum(_psd_eigenvalues(m), eta, rel_tol)
 
 
 def truncation_error(m: LabelledMatrix, r: int) -> float:
     """Root-sum-square of the eigenvalues dropped by a rank-``r`` truncation."""
-    w = np.sort(np.abs(_psd_eigenvalues(m)))[::-1]
-    if r >= len(w):
-        return 0.0
-    return float(np.sqrt(np.sum(w[r:] ** 2)))
+    return _truncation_error_of_spectrum(_psd_eigenvalues(m), r)

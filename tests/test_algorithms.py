@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from qcomb.algorithms import (
+    CERT_ETA_SNAP,
     IndMatrix,
     QueryMeter,
     RankCertificate,
     UnravelParams,
     UnravelResult,
     check_last,
+    certify,
     check_rank_certificate,
     chi1_sample_count,
     error_bound_approximate,
@@ -30,6 +32,7 @@ from qcomb.channels import (
     comb_membership,
     compose_comb,
     membership_residuals,
+    reduce_channel,
 )
 from qcomb.sampling import (
     Rng,
@@ -45,7 +48,10 @@ from qcomb.tensors import (
     aligned,
     LabelledMatrix,
     maximally_mixed,
+    rank_eta,
     trace_norm,
+    trace_out,
+    truncation_error,
 )
 
 CNOT = np.array(
@@ -265,6 +271,16 @@ def test_sampled_recursion_recovers_product_within_budget():
     assert max(membership_residuals(p, res.unravelling)) < 1e-9
 
 
+def test_sampled_budget_overrun_raises(monkeypatch):
+    # An explicit error, not an assert that `python -O` would strip.
+    import qcomb.algorithms as algorithms
+
+    monkeypatch.setattr(algorithms, "query_budget", lambda n, n_swap: 0)
+    params = UnravelParams(chi_min=0.3, kappa0=0.1, mode="sampled", rank_bound=1)
+    with pytest.raises(RuntimeError, match="over its budget 0"):
+        unravel_recursive(product_identity_pair(), params, Rng(2))
+
+
 def test_sampled_runs_are_deterministic():
     p = product_identity_pair()
     params = UnravelParams(chi_min=0.3, kappa0=0.1, mode="sampled", rank_bound=1)
@@ -286,6 +302,30 @@ def test_certificate_marginal_ranks_recorded():
 
 
 # -- certificates and the error bound ---------------------------------------------------
+
+
+def _certify_three_spectra(marg, eta_max):
+    """The certificate entry as computed from three separate eigensolves."""
+    eta = truncation_error(marg, rank_eta(marg, eta_max))
+    if eta < CERT_ETA_SNAP:
+        eta = 0.0
+    return eta, rank_eta(marg, eta)
+
+
+@pytest.mark.parametrize("d_env", [1, 2])
+def test_single_spectrum_certify_is_bit_identical(d_env):
+    comb, truth = random_comb(SynthSpec(n=3, d=2, d_mem=2, d_env=d_env), Rng(11))
+    p = compose_comb(comb)
+    etas = set()
+    for pk, qk in reversed(truth.ordering.steps):
+        marg = trace_out(p.choi, qk)
+        for eta_max in (0.0, 1e-2, 0.15, 0.3, 1.0):
+            got = certify(marg, eta_max)
+            assert got == _certify_three_spectra(marg, eta_max)
+            etas.add(got[0])
+        if len(p.inputs) > 1:
+            p = reduce_channel(p, pk, qk)
+    assert len(etas) > 2  # nonzero truncation errors were compared too
 
 
 def test_rank_certificate_properties_and_json():

@@ -16,13 +16,17 @@ from qcomb.channels import (
     is_last_tooth_exact,
     kraus_from_choi,
     kraus_rank,
+    last_tooth_candidates,
+    last_tooth_marginals,
     last_tooth_residual,
     membership_residuals,
     reduce_channel,
     standardize,
     _swap_matrix,
 )
-from qcomb.tensors import Direction, LabelledMatrix, WireSystem, hs_norm
+from qcomb.sampling import Rng
+from qcomb.synth import SynthSpec, random_comb
+from qcomb.tensors import Direction, LabelledMatrix, WireSystem, hs_norm, trace_norm
 
 PHI_PLUS = 0.5 * np.array(
     [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]], dtype=complex
@@ -263,6 +267,36 @@ class TestLastTooth:
     def test_label_validation(self):
         with pytest.raises(KeyError):
             is_last_tooth_exact(identity_channel(), {"B1"}, {"B1"})
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_screened_verdict_matches_residual(self, n, monkeypatch):
+        # The Hilbert-Schmidt screen must give last_tooth_residual's verdict
+        # for every candidate, with tol drawn around each candidate's own
+        # ||X||_2 and ||X||_1 so that the reject, accept and trace-norm
+        # branches all run.
+        import qcomb.channels as channels
+
+        band_calls = []
+        monkeypatch.setattr(
+            channels, "trace_norm", lambda m: band_calls.append(1) or trace_norm(m)
+        )
+        branches = set()
+        for seed in (3, 4):
+            comb, _ = random_comb(SynthSpec(n=n, d=2, d_mem=2, d_env=seed - 2), Rng(seed))
+            p = compose_comb(comb)
+            c = 2 if n < 4 else 1
+            for P, Q in last_tooth_candidates(p.input_labels, p.output_labels, c):
+                c1, c2 = last_tooth_marginals(p, P, Q)
+                x = LabelledMatrix(c1.entries - c2.entries, c1.row_wires)
+                hs, tn, root_d = hs_norm(x), trace_norm(x), np.sqrt(c1.entries.shape[0])
+                residual = last_tooth_residual(p, P, Q)
+                for tol in (0.0, 1e-8, 0.5 * hs, hs, 0.5 * (hs + tn), tn,
+                            1.001 * tn, root_d * hs, 1.001 * root_d * hs, 2.0 * root_d * hs):
+                    band_calls.clear()
+                    verdict = is_last_tooth_exact(p, P, Q, tol)
+                    assert verdict == (residual <= tol), (P, Q, tol, hs, tn)
+                    branches.add("trace norm" if band_calls else f"screen {verdict}")
+        assert branches == {"trace norm", "screen True", "screen False"}
 
 
 class TestReduceChannel:

@@ -136,6 +136,28 @@ def test_unravel_is_byte_reproducible(tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+def test_unravel_tol_flag_acts(tmp_path):
+    # A trace norm between two states is at most 2, so with --tol 10 the first
+    # scanned candidate (A1, B1) passes at every stage and the recursion
+    # returns the reversed ordering; the default tolerance finds the truth.
+    proc = tmp_path / "order.json"
+    assert main(
+        ["generate", "--family", "total-order-chain", "--n", "3", "--dim", "2",
+         "--seed", "5", "--out", str(proc)]
+    ) == 0
+    truth = json.loads((tmp_path / "order.truth.json").read_text())["ordering"]
+    steps = {}
+    for tol in ("1e-8", "10"):
+        out = tmp_path / f"res-{tol}.json"
+        assert main(
+            ["unravel", "--process", str(proc), "--mode", "exact", "--tol", tol,
+             "--out", str(out)]
+        ) == 0
+        steps[tol] = json.loads(out.read_text())["steps"]
+    assert steps["1e-8"] == truth
+    assert steps["10"] == truth[::-1]
+
+
 def test_unravel_threads_flag_does_not_change_output(tmp_path):
     comb, _ = gen_chain(tmp_path, n=2, seed=5)
     r1, r2 = tmp_path / "t1.json", tmp_path / "t2.json"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcomb.tensors import (
+    EIG_FLOOR,
     Direction,
     LabelCollisionError,
     LabelledMatrix,
@@ -19,11 +20,13 @@ from qcomb.tensors import (
     partial_trace,
     permute_wires,
     rank_eta,
+    require_psd,
     tensor_product,
     total_dim,
     trace_norm,
     trace_out,
     truncation_error,
+    _psd_eigenvalues,
 )
 
 
@@ -315,6 +318,51 @@ class TestRanks:
         for r in range(1, 9):
             eta = truncation_error(m, r)
             assert rank_eta(m, eta if eta > 0 else 0.0) <= r
+
+
+class TestRequirePsd:
+    @pytest.mark.parametrize(
+        "entries",
+        [PHI_PLUS, np.diag([0.7, 0.3, 0.0, 0.0]), np.zeros((4, 4)), np.diag([1.0, -5e-10, 0.0, 0.0])],
+        ids=["rank-1", "zero-eigenvalues", "zero", "inside-floor"],
+    )
+    def test_accepts_psd_within_floor(self, entries):
+        require_psd(lm(entries, w("A1"), w("A2")))
+
+    def test_rejects_below_floor_naming_the_eigenvalue(self):
+        with pytest.raises(NotPSDError, match=r"eigenvalue -2\.000e-09 below the PSD floor"):
+            require_psd(lm(np.diag([1.0, -2e-9]), w("A1")))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotPSDError, match="not Hermitian"):
+            require_psd(lm([[0.5, 0.5], [0.0, 0.5]], w("A1")))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lowest=st.one_of(
+            st.floats(min_value=-1e-3, max_value=1.5 * EIG_FLOOR),
+            st.floats(min_value=0.5 * EIG_FLOOR, max_value=1e-3),
+        ),
+    )
+    def test_verdict_matches_spectrum(self, seed, lowest):
+        # Random 16x16 Hermitian with its smallest eigenvalue set to `lowest`,
+        # kept at least half the floor away from the floor itself.
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+        spectrum = np.concatenate([[lowest], rng.uniform(0.0, 0.2, size=15)])
+        m = lm((q * spectrum) @ q.conj().T, w("A1", 4), w("A2", 4))
+        try:
+            _psd_eigenvalues(m)
+            expected = None
+        except NotPSDError as exc:
+            expected = str(exc)
+        try:
+            require_psd(m)
+            got = None
+        except NotPSDError as exc:
+            got = str(exc)
+        assert got == expected
 
 
 class TestNormInequalities:

@@ -22,9 +22,11 @@ import numpy as np
 
 from .tensors import (
     Direction,
+    LabelledFactor,
     LabelledMatrix,
     WireSystem,
     aligned,
+    difference_trace_norm,
     hs_norm,
     identity,
     matrix_rank,
@@ -165,6 +167,23 @@ def choi_from_kraus(
     return ProcessMatrix(LabelledMatrix(c, inputs + outputs), inputs, outputs)
 
 
+def kraus_factor(
+    kraus: Sequence[np.ndarray],
+    inputs: Sequence[WireSystem],
+    outputs: Sequence[WireSystem],
+) -> LabelledFactor:
+    """Factor F with F F+ the Choi state :func:`choi_from_kraus` assembles.
+
+    Column j is Kraus operator j in the same (input, output) index order,
+    scaled by 1/sqrt(d_in).  The Kraus set is not re-validated.
+    """
+    inputs = tuple(inputs)
+    cols = [np.asarray(k, dtype=np.complex128).T.reshape(-1) for k in kraus]
+    return LabelledFactor(
+        np.stack(cols, axis=1) / math.sqrt(total_dim(inputs)), inputs + tuple(outputs)
+    )
+
+
 def kraus_from_choi(p: ProcessMatrix, rel_tol: float = 1e-12) -> list[np.ndarray]:
     """Extract a minimal Kraus set from the Choi spectrum."""
     w, v = np.linalg.eigh(p.choi.entries)
@@ -298,12 +317,12 @@ def _swap_matrix(d1: int, d2: int) -> np.ndarray:
     return s
 
 
-def compose_comb(comb: Comb) -> ProcessMatrix:
-    """Choi state of the full comb: sequential Kraus composition over memory.
+def comb_kraus(comb: Comb) -> list[np.ndarray]:
+    """Composite Kraus operators of the full comb, inputs -> outputs.
 
-    Composite Kraus operators are built tooth by tooth; the final memory
-    (the environment) is traced by splitting each composite operator along
-    an environment basis.
+    Operators are built tooth by tooth by sequential composition over
+    memory; the final memory (the environment) is traced by splitting each
+    composite operator along an environment basis.
     """
     ops = [np.eye(1, dtype=np.complex128)]  # map: consumed inputs -> produced x mem
     d_b = 1  # produced output dim so far
@@ -321,7 +340,12 @@ def compose_comb(comb: Comb) -> ProcessMatrix:
     for v in ops:
         blocks = v.reshape(d_b, d_env, d_in)
         final.extend(blocks[:, e, :] for e in range(d_env))
-    return choi_from_kraus(final, comb.input_wires, comb.output_wires)
+    return final
+
+
+def compose_comb(comb: Comb) -> ProcessMatrix:
+    """Choi state of the full comb, from its composite Kraus operators."""
+    return choi_from_kraus(comb_kraus(comb), comb.input_wires, comb.output_wires)
 
 
 # -- causal-structure measures and checks -----------------------------------
@@ -342,8 +366,12 @@ def chi1(p: ProcessMatrix, s: Iterable[str], t: Iterable[str]) -> float:
     unknown = (s | t) - all_labels
     if unknown:
         raise KeyError(f"unknown wire labels: {sorted(unknown)}")
-    joint = partial_trace(p.choi, s | t)
-    prod = tensor_product(partial_trace(p.choi, s), partial_trace(p.choi, t))
+    return chi1_of_joint(partial_trace(p.choi, s | t), s, t)
+
+
+def chi1_of_joint(joint: LabelledMatrix, s: Iterable[str], t: Iterable[str]) -> float:
+    """:func:`chi1` of a joint marginal whose wires are exactly ``s`` and ``t``."""
+    prod = tensor_product(partial_trace(joint, s), partial_trace(joint, t))
     diff = joint.entries - aligned(prod, joint).entries
     return trace_norm(LabelledMatrix(diff, joint.row_wires))
 
@@ -391,12 +419,39 @@ def last_tooth_marginals(
     """
     P = set(P)
     Q = set(Q)
-    _require_subsets(p, P, Q)
+    _require_subsets(p.input_labels, p.output_labels, P, Q)
     c1 = trace_out(p.choi, Q)
     rest = trace_out(p.choi, P | Q)
     p_wires = tuple(w for w in p.inputs if w.label in P)
     c2 = rest if not P else tensor_product(rest, maximally_mixed(p_wires))
     return c1, aligned(c2, c1)
+
+
+def _labels(f: LabelledFactor, direction: Direction) -> tuple[str, ...]:
+    """Labels of the factor's wires that point in ``direction``."""
+    return tuple(w.label for w in f.wires if w.direction is direction)
+
+
+def last_tooth_factors(
+    f: LabelledFactor, P: Iterable[str], Q: Iterable[str]
+) -> tuple[LabelledFactor, LabelledFactor]:
+    """:func:`last_tooth_marginals` of the Choi state F F+, as factors.
+
+    ``f`` carries a process's wires; their directions tell inputs from outputs.
+    """
+    P = set(P)
+    Q = set(Q)
+    _require_subsets(_labels(f, Direction.INPUT), _labels(f, Direction.OUTPUT), P, Q)
+    c1 = f.trace_out(Q)
+    rest = f.trace_out(P | Q)
+    p_wires = tuple(w for w in f.wires if w.label in P)
+    c2 = rest if not P else rest.tensor_maximally_mixed(p_wires)
+    return c1, c2.permute_wires(c1.labels)
+
+
+def factored_last_tooth_residual(f: LabelledFactor, P: Iterable[str], Q: Iterable[str]) -> float:
+    """:func:`last_tooth_residual` of the Choi state F F+, computed on its factor."""
+    return difference_trace_norm(*last_tooth_factors(f, P, Q))
 
 
 def _last_tooth_difference(
@@ -406,9 +461,11 @@ def _last_tooth_difference(
     return LabelledMatrix(c1.entries - c2.entries, c1.row_wires)
 
 
-def _require_subsets(p: ProcessMatrix, P: set, Q: set) -> None:
-    bad_p = P - set(p.input_labels)
-    bad_q = Q - set(p.output_labels)
+def _require_subsets(
+    input_labels: Iterable[str], output_labels: Iterable[str], P: set, Q: set
+) -> None:
+    bad_p = P - set(input_labels)
+    bad_q = Q - set(output_labels)
     if bad_p:
         raise KeyError(f"not input wires: {sorted(bad_p)}")
     if bad_q:
@@ -424,7 +481,7 @@ def reduce_channel(p: ProcessMatrix, P: Iterable[str], Q: Iterable[str]) -> Proc
     """
     P = set(P)
     Q = set(Q)
-    _require_subsets(p, P, Q)
+    _require_subsets(p.input_labels, p.output_labels, P, Q)
     reduced = trace_out(p.choi, P | Q)
     inputs = tuple(w for w in p.inputs if w.label not in P)
     outputs = tuple(w for w in p.outputs if w.label not in Q)

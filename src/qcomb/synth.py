@@ -18,17 +18,26 @@ from .channels import (
     ProcessMatrix,
     Tooth,
     Unravelling,
+    _labels,
     _swap_matrix,
     chi1,
+    chi1_of_joint,
     choi_from_kraus,
+    comb_kraus,
     compose_comb,
-    kraus_rank,
+    factored_last_tooth_residual,
+    kraus_factor,
     last_tooth_candidates,
-    last_tooth_residual,
-    reduce_channel,
 )
 from .sampling import GenerationError, Rng
-from .tensors import Direction, LabelledMatrix, WireSystem, permute_wires, tensor_product
+from .tensors import (
+    Direction,
+    LabelledFactor,
+    LabelledMatrix,
+    WireSystem,
+    permute_wires,
+    tensor_product,
+)
 
 FAMILIES = ("isometric_chain", "memoryless", "total_order_chain", "entangling_c2")
 MAX_REJECTIONS = 200
@@ -211,29 +220,37 @@ _PROBE_C = {"isometric_chain": 1, "total_order_chain": 1, "entangling_c2": 2}
 # -- rejection probes -------------------------------------------------------------
 
 
-def probe_values(p: ProcessMatrix, truth: Unravelling, c: int) -> list[float]:
+def _pair_chi1(f: LabelledFactor, a: str, b: str) -> float:
+    """:func:`chi1` of wires ``a`` and ``b`` in the Choi state F F+."""
+    joint = f.trace_out(lab for lab in f.labels if lab not in (a, b)).gram()
+    return chi1_of_joint(joint, {a}, {b})
+
+
+def probe_values(f: LabelledFactor, truth: Unravelling, c: int) -> list[float]:
     """Correlation strengths the exact recursion meets along the true ordering.
 
     Includes every single-pair chi1 on the full process, plus the last-tooth
     residual of each candidate scanned (in order) up to the true step at each
     recursion stage.  Each residual is itself a chi1 value of a marginal, so
-    one floor governs them all.
+    one floor governs them all.  ``f`` is the Kraus factor of the process's
+    Choi state; each stage reduces it by a partial trace.
     """
-    vals = []
-    for a in p.input_labels:
-        for b in p.output_labels:
-            vals.append(chi1(p, {a}, {b}))
-    cur = p
+    vals = [
+        _pair_chi1(f, a, b)
+        for a in _labels(f, Direction.INPUT)
+        for b in _labels(f, Direction.OUTPUT)
+    ]
+    cur = f
     rev = list(reversed(truth.steps))
     for idx, (pk, qk) in enumerate(rev):
         for cand_p, cand_q in last_tooth_candidates(
-            cur.input_labels, cur.output_labels, c
+            _labels(cur, Direction.INPUT), _labels(cur, Direction.OUTPUT), c
         ):
-            vals.append(last_tooth_residual(cur, cand_p, cand_q))
+            vals.append(factored_last_tooth_residual(cur, cand_p, cand_q))
             if set(cand_p) == set(pk) and set(cand_q) == set(qk):
                 break
         if idx < len(rev) - 1:
-            cur = reduce_channel(cur, pk, qk)
+            cur = cur.trace_out(pk + qk)
     return vals
 
 
@@ -245,10 +262,10 @@ def _achieved(vals: Sequence[float]) -> float:
     return min((v for v in vals if v > ZERO_CHI), default=0.0)
 
 
-def _total_order_probes(p: ProcessMatrix, n: int) -> list[float]:
+def _total_order_probes(f: LabelledFactor, n: int) -> list[float]:
     """chi1 of every causally connected pair (A_i, B_j), j >= i."""
     return [
-        chi1(p, {f"A{i}"}, {f"B{j}"})
+        _pair_chi1(f, f"A{i}", f"B{j}")
         for i in range(1, n + 1)
         for j in range(i, n + 1)
     ]
@@ -263,16 +280,17 @@ def random_comb(spec: SynthSpec, rng: Rng) -> tuple[Comb, GroundTruth]:
     for attempt in range(MAX_REJECTIONS):
         gen = rng.child(attempt).generator()
         comb = builder(spec, gen)
-        p = compose_comb(comb)
+        compose_comb(comb)  # validates the draw's Choi state as a channel
+        f = kraus_factor(comb_kraus(comb), comb.input_wires, comb.output_wires)
         truth = comb.ground_truth()
         if spec.family == "total_order_chain":
-            vals = _total_order_probes(p, spec.n)
+            vals = _total_order_probes(f, spec.n)
             ok = all(v >= spec.chi_min_target for v in vals)
         else:
-            vals = probe_values(p, truth, _PROBE_C[spec.family])
+            vals = probe_values(f, truth, _PROBE_C[spec.family])
             ok = _signal_is_clean(vals, spec.chi_min_target)
         if ok:
-            return comb, GroundTruth(truth, _achieved(vals), kraus_rank(p))
+            return comb, GroundTruth(truth, _achieved(vals), f.rank())
         last_vals = vals
     raise GenerationError(
         f"{spec.family}: no draw met the chi floor {spec.chi_min_target} in "

@@ -126,9 +126,10 @@ class LabelledMatrix:
             raise ValueError("operation requires matching row and column wires")
 
     def is_hermitian(self, atol: float = HERMITIAN_ATOL) -> bool:
+        """Every entry within ``atol`` of its adjoint's; NaN is never Hermitian."""
         a = self.entries
         return a.shape[0] == a.shape[1] and bool(
-            np.allclose(a, a.conj().T, atol=atol, rtol=0.0)
+            np.abs(a - a.conj().T).max(initial=0.0) <= atol
         )
 
     # -- serialization ---------------------------------------------------
@@ -161,6 +162,103 @@ class LabelledMatrix:
     @staticmethod
     def loads(text: str) -> "LabelledMatrix":
         return LabelledMatrix.from_json(json.loads(text))
+
+
+@dataclass(frozen=True, eq=False)
+class LabelledFactor:
+    """Factor F of the PSD operator F F+, with wire-labelled rows.
+
+    Rows follow the wire conventions of :class:`LabelledMatrix`; columns
+    carry no labels.  Partial traces, products with maximally mixed states
+    and wire reorderings of F F+ all act on F alone, so a low-rank state
+    is never formed densely.
+    """
+
+    entries: np.ndarray
+    wires: tuple[WireSystem, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "wires", tuple(self.wires))
+        arr = np.asarray(self.entries, dtype=np.complex128)
+        if arr.ndim != 2:
+            raise ValueError(f"entries must be a matrix, got shape {arr.shape}")
+        object.__setattr__(self, "entries", arr)
+        _check_unique_labels(self.wires)
+        if arr.shape[0] != total_dim(self.wires):
+            raise ValueError(
+                f"{arr.shape[0]} factor rows do not match wire dim {total_dim(self.wires)}"
+            )
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(w.label for w in self.wires)
+
+    def _tensor_view(self) -> np.ndarray:
+        return self.entries.reshape(wire_dims(self.wires) + (self.entries.shape[1],))
+
+    def trace_out(self, drop: Iterable[str]) -> "LabelledFactor":
+        """Factor of the partial trace over ``drop``: those wire axes join the columns."""
+        drop_set = set(drop)
+        unknown = drop_set - set(self.labels)
+        if unknown:
+            raise KeyError(f"unknown wire labels: {sorted(unknown)}")
+        keep = [i for i, w in enumerate(self.wires) if w.label not in drop_set]
+        gone = [i for i, w in enumerate(self.wires) if w.label in drop_set]
+        t = self._tensor_view().transpose(keep + gone + [len(self.wires)])
+        wires = tuple(self.wires[i] for i in keep)
+        return LabelledFactor(t.reshape(total_dim(wires), -1), wires)
+
+    def tensor_maximally_mixed(self, wires: Sequence[WireSystem]) -> "LabelledFactor":
+        """Factor of F F+ x I/d on ``wires``, which are appended last."""
+        d = total_dim(wires)
+        return LabelledFactor(
+            np.kron(self.entries, np.eye(d) / np.sqrt(d)), self.wires + tuple(wires)
+        )
+
+    def permute_wires(self, order: Sequence[str]) -> "LabelledFactor":
+        """Reorder the row wires to the given label sequence."""
+        if sorted(order) != sorted(self.labels):
+            raise ValueError(
+                f"order {list(order)} is not a permutation of labels {list(self.labels)}"
+            )
+        if tuple(order) == self.labels:
+            return self
+        pos = {lab: i for i, lab in enumerate(self.labels)}
+        perm = [pos[lab] for lab in order]
+        t = self._tensor_view().transpose(perm + [len(perm)])
+        wires = tuple(self.wires[p] for p in perm)
+        return LabelledFactor(t.reshape(self.entries.shape), wires)
+
+    def gram(self) -> LabelledMatrix:
+        """The dense operator F F+; meant for marginals on few wires."""
+        f = self.entries
+        return LabelledMatrix(f @ f.conj().T, self.wires)
+
+    def rank(self, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
+        """:func:`matrix_rank` of F F+, from the squared singular values of F."""
+        s = np.linalg.svd(self.entries, compute_uv=False)
+        return _rank_of_spectrum(s**2, rel_tol)
+
+
+def difference_trace_norm(plus: LabelledFactor, minus: LabelledFactor) -> float:
+    """||F+ F+^+ - F- F-^+||_1 for two factors on the same wires.
+
+    With fewer columns k than rows, a thin QR [F+ F-] = QR confines the
+    difference to the range of Q: it is Q R J R+ Q+ with J = diag(I, -I),
+    whose trace norm is that of the k x k matrix R J R+.  Otherwise that
+    matrix would be no smaller than the dense difference, which is formed
+    directly.
+    """
+    if plus.wires != minus.wires:
+        raise ValueError("factors must carry the same wires in the same order")
+    both = np.hstack([plus.entries, minus.entries])
+    if both.shape[1] >= both.shape[0]:
+        diff = plus.gram().entries - minus.gram().entries
+    else:
+        r = np.linalg.qr(both, mode="r")
+        r_plus, r_minus = r[:, : plus.entries.shape[1]], r[:, plus.entries.shape[1] :]
+        diff = r_plus @ r_plus.conj().T - r_minus @ r_minus.conj().T
+    return float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
 # -- constructors ---------------------------------------------------------

@@ -13,7 +13,9 @@ from qcomb.channels import (
     choi_from_kraus,
     comb_membership,
     compose_comb,
+    factored_last_tooth_residual,
     is_last_tooth_exact,
+    kraus_factor,
     kraus_from_choi,
     kraus_rank,
     last_tooth_candidates,
@@ -267,6 +269,17 @@ class TestLastTooth:
     def test_label_validation(self):
         with pytest.raises(KeyError):
             is_last_tooth_exact(identity_channel(), {"B1"}, {"B1"})
+
+    def test_factored_residual_on_cnot(self):
+        f = kraus_factor([CNOT], (win("A1"), win("A2")), (wout("B1"), wout("B2")))
+        p = cnot_process()
+        for P, Q in [({"A2"}, {"B2"}), ({"A1"}, {"B2"}), ({"A1", "A2"}, {"B1", "B2"})]:
+            assert factored_last_tooth_residual(f, P, Q) == pytest.approx(
+                last_tooth_residual(p, P, Q), abs=1e-12
+            )
+        assert factored_last_tooth_residual(f, {"A2"}, {"B2"}) == pytest.approx(1.0, abs=1e-10)
+        with pytest.raises(KeyError):
+            factored_last_tooth_residual(f, {"B1"}, {"B1"})
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_screened_verdict_matches_residual(self, n, monkeypatch):

@@ -3,15 +3,21 @@ import json
 import numpy as np
 import pytest
 
+from qcomb import synth
 from qcomb.channels import (
     chi1,
+    comb_kraus,
     comb_membership,
     compose_comb,
+    kraus_factor,
     kraus_rank,
+    last_tooth_candidates,
     last_tooth_residual,
+    reduce_channel,
 )
 from qcomb.sampling import GenerationError, Rng
 from qcomb.synth import (
+    MAX_REJECTIONS,
     GroundTruth,
     SynthSpec,
     apply_wire_permutation,
@@ -19,6 +25,7 @@ from qcomb.synth import (
     random_memoryless,
     shuffle_wires,
     total_order_chain,
+    probe_values,
     unshuffle_wires,
 )
 
@@ -246,3 +253,110 @@ def test_ground_truth_json_round_trip():
     assert back.ordering == gt.ordering
     assert back.chi_min_achieved == gt.chi_min_achieved
     assert back.kraus_rank == gt.kraus_rank
+
+
+# -- factored probes against the dense definition -----------------------------------------
+
+
+def _dense_probe_values(p, truth, c):
+    """probe_values on the dense Choi state: residuals by last_tooth_residual."""
+    vals = [chi1(p, {a}, {b}) for a in p.input_labels for b in p.output_labels]
+    cur = p
+    rev = list(reversed(truth.steps))
+    for idx, (pk, qk) in enumerate(rev):
+        for cand_p, cand_q in last_tooth_candidates(cur.input_labels, cur.output_labels, c):
+            vals.append(last_tooth_residual(cur, cand_p, cand_q))
+            if set(cand_p) == set(pk) and set(cand_q) == set(qk):
+                break
+        if idx < len(rev) - 1:
+            cur = reduce_channel(cur, pk, qk)
+    return vals
+
+
+def _dense_total_order_probes(p, n):
+    return [chi1(p, {f"A{i}"}, {f"B{j}"}) for i in range(1, n + 1) for j in range(i, n + 1)]
+
+
+def _dense_random_comb(spec, rng):
+    """random_comb with every probe and the rank taken on the dense Choi state."""
+    for attempt in range(MAX_REJECTIONS):
+        comb = synth._BUILDERS[spec.family](spec, rng.child(attempt).generator())
+        p = compose_comb(comb)
+        truth = comb.ground_truth()
+        if spec.family == "total_order_chain":
+            vals = _dense_total_order_probes(p, spec.n)
+            ok = all(v >= spec.chi_min_target for v in vals)
+        else:
+            vals = _dense_probe_values(p, truth, synth._PROBE_C[spec.family])
+            ok = synth._signal_is_clean(vals, spec.chi_min_target)
+        if ok:
+            return comb, attempt, synth._achieved(vals), kraus_rank(p)
+    raise GenerationError(spec.family)
+
+
+def _factor(comb):
+    return kraus_factor(comb_kraus(comb), comb.input_wires, comb.output_wires)
+
+
+DIFFERENTIAL_SPECS = (
+    [SynthSpec(n=n, d_env=d_env, seed=seed) for n in (2, 3, 4) for d_env in (1, 2) for seed in (0, 1)]
+    + [SynthSpec(n=5, d_env=d_env) for d_env in (1, 2)]
+    + [SynthSpec(n=2, d_env=d_env, family="entangling_c2", seed=s) for d_env in (1, 2) for s in (0, 1)]
+    + [SynthSpec(n=n, d_mem=2, d_env=2, family="total_order_chain") for n in (2, 3, 4)]
+)
+
+
+def test_factored_probes_match_dense_residuals(monkeypatch):
+    """Every probe value, residual by residual, and the rank, on one draw per spec."""
+    combs = [synth._BUILDERS[s.family](s, Rng(s.seed).generator()) for s in DIFFERENTIAL_SPECS]
+    qr_calls = []
+    real_qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qr_calls.append(1) or real_qr(*a, **k))
+    residuals = 0
+    for spec, comb in zip(DIFFERENTIAL_SPECS, combs):
+        p, f, truth = compose_comb(comb), _factor(comb), comb.ground_truth()
+        c = synth._PROBE_C[spec.family]
+        want, got = _dense_probe_values(p, truth, c), probe_values(f, truth, c)
+        assert len(got) == len(want)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, spec
+        residuals += len(got) - len(p.inputs) * len(p.outputs)
+        if spec.family == "total_order_chain":
+            got_pairs = synth._total_order_probes(f, spec.n)
+            want_pairs = _dense_total_order_probes(p, spec.n)
+            assert np.max(np.abs(np.subtract(got_pairs, want_pairs))) <= 1e-12, spec
+        assert f.rank() == kraus_rank(p), spec
+    # Both branches of difference_trace_norm ran: QR for the tall
+    # residuals, the dense difference for the rest.
+    assert 0 < len(qr_calls) < residuals
+
+
+IDENTITY_SPECS = {
+    "chain-n3": SynthSpec(n=3, d_env=1),
+    "total-order-n3": SynthSpec(n=3, d_mem=2, d_env=2, family="total_order_chain"),
+    "entangling-c2": SynthSpec(n=2, d_env=2, family="entangling_c2"),
+}
+
+
+def _assert_matches_dense_reference(spec, seed):
+    """random_comb against _dense_random_comb; returns the accepted attempt."""
+    comb, gt = random_comb(spec, Rng(seed))
+    ref_comb, ref_attempt, ref_achieved, ref_rank = _dense_random_comb(spec, Rng(seed))
+    for tooth, ref_tooth in zip(comb.teeth, ref_comb.teeth, strict=True):
+        assert all(np.array_equal(k, r) for k, r in zip(tooth.kraus, ref_tooth.kraus, strict=True))
+    assert gt.chi_min_achieved == pytest.approx(ref_achieved, abs=1e-12)
+    assert gt.kraus_rank == ref_rank
+    return ref_attempt
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("name", IDENTITY_SPECS)
+def test_random_comb_matches_dense_probe_reference(name, seed):
+    _assert_matches_dense_reference(IDENTITY_SPECS[name], seed)
+
+
+def test_rejected_draws_match_dense_probe_reference():
+    # n=4 chains into a qubit environment often miss the floor, so the
+    # accepted attempt index is compared as well.
+    spec = SynthSpec(n=4, d_env=2)
+    attempts = [_assert_matches_dense_reference(spec, seed) for seed in range(3)]
+    assert max(attempts) > 0

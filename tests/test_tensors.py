@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from qcomb.tensors import (
     EIG_FLOOR,
+    HERMITIAN_ATOL,
     Direction,
     LabelCollisionError,
+    LabelledFactor,
     LabelledMatrix,
     NotPSDError,
     WireSystem,
     aligned,
+    difference_trace_norm,
     hs_norm,
     identity,
     matrix_rank,
@@ -384,3 +387,88 @@ class TestNormInequalities:
         m = LabelledMatrix(np.array([[2.0 + 0j]]), ())
         assert total_dim(m.row_wires) == 1
         assert trace_norm(m) == pytest.approx(2.0)
+
+
+class TestIsHermitian:
+    @settings(deadline=None, max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 8),
+        scale=st.sampled_from([0.0, 0.3, 0.5, 0.99, 1.0, 1.01, 2.0, 1e6]),
+    )
+    def test_matches_allclose(self, seed, d, scale):
+        # Hermitian matrices perturbed by a random matrix of max-abs entry
+        # scale * HERMITIAN_ATOL, so verdicts fall on both sides of the edge.
+        rng = np.random.default_rng(seed)
+        a = random_hermitian(rng, d)
+        e = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        a = a + scale * HERMITIAN_ATOL * e / np.abs(e).max()
+        expected = bool(np.allclose(a, a.conj().T, atol=HERMITIAN_ATOL, rtol=0.0))
+        assert lm(a, w("X", d)).is_hermitian() == expected
+
+    def test_rejects_nan_and_non_square(self):
+        a = np.eye(2, dtype=complex)
+        a[0, 0] = np.nan
+        assert not lm(a, w("A1")).is_hermitian()
+        rect = LabelledMatrix(np.zeros((2, 4)), (w("A1"),), (w("A1"), w("A2")))
+        assert not rect.is_hermitian()
+
+
+def random_factor(rng, wires, k):
+    d = total_dim(wires)
+    return LabelledFactor(rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k)), wires)
+
+
+FACTOR_WIRES = (w("A1"), w("A2", 3), w("B1", 2, Direction.OUTPUT), w("B2", 2, Direction.OUTPUT))
+
+
+class TestLabelledFactor:
+    def test_rows_must_match_wires(self):
+        with pytest.raises(ValueError):
+            LabelledFactor(np.zeros((5, 2)), (w("A1"), w("A2")))
+        with pytest.raises(LabelCollisionError):
+            LabelledFactor(np.zeros((4, 1)), (w("A1"), w("A1")))
+
+    @pytest.mark.parametrize("drop", [(), ("A2",), ("A1", "B2"), ("A1", "A2", "B1", "B2")])
+    def test_trace_out_matches_dense(self, drop):
+        f = random_factor(np.random.default_rng(1), FACTOR_WIRES, 3)
+        got = f.trace_out(drop).gram()
+        want = trace_out(f.gram(), drop)
+        assert got.row_wires == want.row_wires
+        assert np.allclose(got.entries, want.entries, atol=1e-12)
+
+    def test_trace_out_unknown_label(self):
+        with pytest.raises(KeyError):
+            random_factor(np.random.default_rng(1), FACTOR_WIRES, 1).trace_out({"C9"})
+
+    def test_maximally_mixed_and_permutation_match_dense(self):
+        f = random_factor(np.random.default_rng(2), FACTOR_WIRES[2:], 2)
+        mixed = (w("A1"), w("A2", 3))
+        order = ["B2", "A2", "B1", "A1"]
+        got = f.tensor_maximally_mixed(mixed).permute_wires(order).gram()
+        want = permute_wires(tensor_product(f.gram(), maximally_mixed(mixed)), order)
+        assert got.row_wires == want.row_wires
+        assert np.allclose(got.entries, want.entries, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 30])
+    def test_rank_matches_dense_rank(self, k):
+        rng = np.random.default_rng(k)
+        f = random_factor(rng, FACTOR_WIRES, k)
+        # Appended combinations of the columns must not raise the rank.
+        doubled = LabelledFactor(np.hstack([f.entries, f.entries @ rng.normal(size=(k, k))]), f.wires)
+        assert doubled.rank() == matrix_rank(doubled.gram()) == min(k, total_dim(f.wires))
+
+    @pytest.mark.parametrize("k_plus,k_minus", [(1, 1), (2, 8), (0, 3), (12, 12), (30, 2)])
+    def test_difference_trace_norm_matches_dense(self, k_plus, k_minus):
+        # 24 rows: the first three cases take the QR branch, the last two
+        # the dense one.
+        rng = np.random.default_rng(10 * k_plus + k_minus)
+        plus = random_factor(rng, FACTOR_WIRES, k_plus)
+        minus = random_factor(rng, FACTOR_WIRES, k_minus)
+        dense = trace_norm(lm(plus.gram().entries - minus.gram().entries, *FACTOR_WIRES))
+        assert difference_trace_norm(plus, minus) == pytest.approx(dense, rel=1e-12, abs=1e-12)
+
+    def test_difference_trace_norm_needs_equal_wires(self):
+        f = random_factor(np.random.default_rng(3), FACTOR_WIRES, 1)
+        with pytest.raises(ValueError):
+            difference_trace_norm(f, f.permute_wires(["A2", "A1", "B1", "B2"]))

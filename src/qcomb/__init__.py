@@ -63,6 +63,7 @@ from .sampling import (
     swap_test_probability,
     swaptest_draw_count,
     swaptest_estimate,
+    wire_povms,
 )
 from .synth import (
     GroundTruth,

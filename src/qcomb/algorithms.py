@@ -36,11 +36,11 @@ from .sampling import (
     Rng,
     empirical_cell_frequencies,
     exact_cell_probabilities,
-    povm_for_wire,
     reconstruct_from_frequencies,
     sample_outcome_matrix,
     swaptest_draw_count,
     swaptest_estimate,
+    wire_povms,
 )
 from .tensors import (
     DEFAULT_RANK_RTOL,
@@ -445,8 +445,7 @@ def independence_matrix(
     n_rows=None evaluates the analytic outcome distribution instead (zero
     queries); otherwise the N rows are drawn once and reused for all pairs.
     """
-    in_povms = [povm_for_wire(w, rng.child(0, i)) for i, w in enumerate(p.inputs)]
-    out_povms = [povm_for_wire(w, rng.child(1, j)) for j, w in enumerate(p.outputs)]
+    in_povms, out_povms = wire_povms(p, rng)
     if n_rows is None:
         freq = exact_cell_probabilities(p, in_povms, out_povms)
     else:

@@ -30,7 +30,7 @@ from .channels import (
     kraus_rank,
     membership_residuals,
 )
-from .sampling import Rng, povm_for_wire, sample_outcome_matrix, swaptest_draw_count
+from .sampling import Rng, sample_outcome_matrix, swaptest_draw_count, wire_povms
 from .synth import GroundTruth, SynthSpec, random_comb, random_memoryless
 
 EXIT_OK = 0
@@ -265,8 +265,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise UsageFault("--queries must be >= 1")
     proc = load_process(args.process)
     rng = Rng(args.seed)
-    in_povms = [povm_for_wire(w, rng.child(0, i)) for i, w in enumerate(proc.inputs)]
-    out_povms = [povm_for_wire(w, rng.child(1, j)) for j, w in enumerate(proc.outputs)]
+    in_povms, out_povms = wire_povms(proc, rng)
     om = sample_outcome_matrix(proc, in_povms, out_povms, args.queries, rng.child(2))
     om.write_csv(args.out)
     print(f"wrote {args.out} ({args.queries} rows) and {args.out}.povm.json")

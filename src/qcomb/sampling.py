@@ -17,9 +17,12 @@ drawn at once.
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import json
 import math
 import string
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -36,6 +39,10 @@ from .tensors import (
 
 # Minimum acceptable frame floor for randomized IC constructions.
 IC_FRAME_FLOOR = 1e-4
+# Rows per write in OutcomeMatrix.write_csv; bounds the writer's buffer.
+CSV_BLOCK_ROWS = 1024
+# Most cells in the joint outcome space of one OutcomeMatrix.write_csv column run.
+CSV_RUN_CELLS = 1024
 
 
 class SanityError(ValueError):
@@ -153,10 +160,37 @@ class Povm:
         return np.stack([e.entries for e in self.effects])
 
     def is_informationally_complete(self) -> bool:
-        return (
-            self.n_outcomes >= self.dim**2
-            and frame_diagnostics(self).min_eig > 0
+        return self.n_outcomes >= self.dim**2 and self.frame.min_eig > 0
+
+    @functools.cached_property
+    def frame(self) -> "FrameDiagnostics":
+        """Frame operator F = sum_a |P_a>><<P_a| and its eigenvalue extremes."""
+        d = self.dim
+        f = np.zeros((d * d, d * d), dtype=np.complex128)
+        for eff in self.effects:
+            v = _vec(eff.entries)
+            f += np.outer(v, v.conj())
+        f.flags.writeable = False
+        wires = (
+            WireSystem("row", d, Direction.INPUT),
+            WireSystem("col", d, Direction.INPUT),
         )
+        eigs = np.linalg.eigvalsh(f)
+        return FrameDiagnostics(
+            LabelledMatrix(f, wires), float(max(eigs.min(), 0.0)), float(eigs.max())
+        )
+
+    @functools.cached_property
+    def dual(self) -> np.ndarray:
+        """Read-only dual frame D_a, one (d, d) slice per effect; see dual_frame."""
+        diag = self.frame
+        if diag.min_eig <= 1e-12 * max(diag.max_eig, 1.0):
+            raise ValueError("frame operator is singular: POVM is not informationally complete")
+        d = self.dim
+        f_inv = np.linalg.inv(diag.frame_operator.entries)
+        duals = np.stack([(f_inv @ _vec(e.entries)).reshape(d, d) for e in self.effects])
+        duals.flags.writeable = False
+        return duals
 
     def to_json(self) -> dict:
         return {
@@ -194,37 +228,28 @@ def _vec(m: np.ndarray) -> np.ndarray:
 
 
 def frame_diagnostics(povm: Povm) -> FrameDiagnostics:
-    """Frame operator F = sum_a |P_a>><<P_a| and its eigenvalue extremes."""
-    d = povm.dim
-    f = np.zeros((d * d, d * d), dtype=np.complex128)
-    for eff in povm.effects:
-        v = _vec(eff.entries)
-        f += np.outer(v, v.conj())
-    wires = (
-        WireSystem("row", d, Direction.INPUT),
-        WireSystem("col", d, Direction.INPUT),
-    )
-    eigs = np.linalg.eigvalsh(f)
-    return FrameDiagnostics(
-        LabelledMatrix(f, wires), float(max(eigs.min(), 0.0)), float(eigs.max())
-    )
+    """Frame operator F = sum_a |P_a>><<P_a| and its eigenvalue extremes.
+
+    Computed once per POVM (``Povm.frame``).
+    """
+    return povm.frame
 
 
 def dual_frame(povm: Povm) -> np.ndarray:
     """Operators D_a with sum_a Tr[P_a X] D_a = X: vec(D_a) = F^-1 vec(P_a).
 
     Raises when the POVM is not informationally complete (singular frame).
+    Computed once per POVM (``Povm.dual``) and returned read-only.
     """
-    diag = frame_diagnostics(povm)
-    if diag.min_eig <= 1e-12 * max(diag.max_eig, 1.0):
-        raise ValueError("frame operator is singular: POVM is not informationally complete")
-    d = povm.dim
-    f_inv = np.linalg.inv(diag.frame_operator.entries)
-    return np.stack([(f_inv @ _vec(e.entries)).reshape(d, d) for e in povm.effects])
+    return povm.dual
 
 
+@functools.lru_cache(maxsize=None)
 def build_sic_povm_qubit() -> Povm:
-    """Tetrahedral qubit SIC: effects |psi_k><psi_k| / 2."""
+    """Tetrahedral qubit SIC: effects |psi_k><psi_k| / 2.
+
+    Built once and shared, so its effect arrays are read-only.
+    """
     bloch = np.array(
         [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
     ) / np.sqrt(3)
@@ -236,6 +261,8 @@ def build_sic_povm_qubit() -> Povm:
         LabelledMatrix((np.eye(2) + b[0] * sx + b[1] * sy + b[2] * sz) / 4.0, wire)
         for b in bloch
     )
+    for eff in effects:
+        eff.entries.flags.writeable = False
     return Povm(effects)
 
 
@@ -261,7 +288,7 @@ def build_ic_povm(d: int, rng: Rng, max_attempts: int = 100) -> Povm:
             LabelledMatrix(inv_half @ raw @ inv_half, wire) for raw in raws
         )
         povm = Povm(effects)
-        if frame_diagnostics(povm).min_eig > IC_FRAME_FLOOR:
+        if povm.frame.min_eig > IC_FRAME_FLOOR:
             return povm
     raise GenerationError(
         f"no IC-POVM with frame floor > {IC_FRAME_FLOOR} in {max_attempts} attempts (d={d})"
@@ -273,6 +300,14 @@ def povm_for_wire(wire: WireSystem, rng: Rng) -> Povm:
     if wire.dim == 2:
         return build_sic_povm_qubit()
     return build_ic_povm(wire.dim, rng)
+
+
+def wire_povms(p: ProcessMatrix, rng: Rng) -> tuple[tuple[Povm, ...], tuple[Povm, ...]]:
+    """One default POVM per wire: input i draws from rng.child(0, i), output j
+    from rng.child(1, j)."""
+    in_povms = tuple(povm_for_wire(w, rng.child(0, i)) for i, w in enumerate(p.inputs))
+    out_povms = tuple(povm_for_wire(w, rng.child(1, j)) for j, w in enumerate(p.outputs))
+    return in_povms, out_povms
 
 
 # -- outcome matrices ----------------------------------------------------------
@@ -308,12 +343,25 @@ class OutcomeMatrix:
         return self.rows[:, self.wire_labels.index(label)]
 
     def write_csv(self, path: str | Path) -> None:
+        """Write ``trial,<labels>`` then one row per trial with 1-based
+        outcome indices (excel dialect, ``\\r\\n``), plus the POVM sidecar.
+
+        The body goes out CSV_BLOCK_ROWS rows at a time.  Each row is its
+        trial number followed by one precomputed text ``,a,b,...`` per run
+        of columns (see _csv_column_runs); the bytes are those
+        ``csv.writer.writerow`` gives.
+        """
         path = Path(path)
+        runs = _csv_column_runs(tuple(povm.n_outcomes for povm in self.povms))
         with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial", *self.wire_labels])
-            for t, row in enumerate(self.rows, start=1):
-                writer.writerow([t, *(int(x) + 1 for x in row)])
+            csv.writer(fh).writerow(["trial", *self.wire_labels])
+            for start in range(0, self.n_rows, CSV_BLOCK_ROWS):
+                block = self.rows[start : start + CSV_BLOCK_ROWS]
+                trials = range(start + 1, start + len(block) + 1)
+                lines = np.array([str(t) for t in trials], dtype=object)
+                for cols, shape, text in runs:
+                    lines += text[np.ravel_multi_index(block[:, cols].T, shape)]
+                fh.write("\r\n".join(lines.tolist()) + "\r\n")
         sidecar = {
             "columns": [
                 {"wire": lab, "povm": povm.to_json()}
@@ -326,17 +374,65 @@ class OutcomeMatrix:
 
     @staticmethod
     def read_csv(path: str | Path) -> "OutcomeMatrix":
+        """Read a file written by ``write_csv``; the trial column must hold
+        integers but its values are ignored.
+
+        Raises ValueError when the header disagrees with the sidecar, or a
+        row is ragged or holds a non-integer cell.
+        """
         path = Path(path)
         sidecar = json.loads(path.with_suffix(path.suffix + ".povm.json").read_text())
         labels = tuple(c["wire"] for c in sidecar["columns"])
         povms = tuple(Povm.from_json(c["povm"]) for c in sidecar["columns"])
-        with path.open() as fh:
+        with path.open(newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             if tuple(header[1:]) != labels:
                 raise ValueError("CSV header does not match POVM sidecar")
-            rows = np.array([[int(x) - 1 for x in line[1:]] for line in reader])
-        return OutcomeMatrix(rows, labels, povms)
+            header_lines = reader.line_num
+        with warnings.catch_warnings():
+            # Older numpy (1.23 on) reads a float cell into an int column with
+            # only a DeprecationWarning, truncating it.
+            warnings.simplefilter("error", DeprecationWarning)
+            try:
+                table = np.loadtxt(
+                    path,
+                    delimiter=",",
+                    skiprows=header_lines,
+                    dtype=np.int64,
+                    ndmin=2,
+                    comments=None,
+                )
+            except DeprecationWarning as exc:
+                raise ValueError(f"{path}: outcome CSV holds a non-integer cell") from exc
+        return OutcomeMatrix(table[:, 1:] - 1, labels, povms)
+
+
+def _csv_column_runs(
+    n_outcomes: tuple[int, ...],
+) -> list[tuple[slice, tuple[int, ...], np.ndarray]]:
+    """Split the columns into runs of adjacent columns whose joint outcome
+    space has at most CSV_RUN_CELLS cells (a larger column stands alone).
+
+    Each run comes with its outcome counts and, indexed by the run's C-order
+    joint cell, an object array of the text ``,a,b,...`` (1-based) of
+    every cell, so a CSV row is its trial number plus one entry per run.
+    """
+    runs, lo, size = [], 0, 1
+    for hi, n in enumerate(n_outcomes):
+        if hi > lo and size * n > CSV_RUN_CELLS:
+            runs.append((lo, hi))
+            lo, size = hi, 1
+        size *= n
+    if n_outcomes:
+        runs.append((lo, len(n_outcomes)))
+    tables = []
+    for lo, hi in runs:
+        shape = n_outcomes[lo:hi]
+        line = ",%d" * len(shape)
+        cells = itertools.product(*(range(1, n + 1) for n in shape))
+        tables.append((slice(lo, hi), shape, np.array([line % c for c in cells], dtype=object)))
+    return tables
 
 
 def exact_cell_probabilities(

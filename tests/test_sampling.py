@@ -1,10 +1,16 @@
+import csv
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcomb import sampling
 from qcomb.channels import ProcessMatrix, choi_from_kraus
 from qcomb.sampling import (
     OutcomeMatrix,
@@ -24,6 +30,7 @@ from qcomb.sampling import (
     swap_test_sample,
     swaptest_draw_count,
     swaptest_estimate,
+    wire_povms,
 )
 from qcomb.tensors import Direction, LabelledMatrix, WireSystem
 
@@ -390,3 +397,161 @@ def test_outcome_matrix_validation():
         OutcomeMatrix(np.zeros((0, 2), dtype=int), ("A1", "B1"), (sic, sic))
     with pytest.raises(ValueError):
         OutcomeMatrix(np.array([[0, 9]]), ("A1", "B1"), (sic, sic))
+
+
+# -- outcome CSV format, per-wire POVMs and cached frames ------------------------
+
+
+def reference_csv_bytes(om):
+    """The outcome CSV written row by row with csv.writer."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["trial", *om.wire_labels])
+    for t, row in enumerate(om.rows, start=1):
+        writer.writerow([t, *(int(x) + 1 for x in row)])
+    return buf.getvalue().encode()
+
+
+def random_outcomes(n_rows, povms, labels, seed):
+    gen = np.random.default_rng(seed)
+    rows = np.column_stack([gen.integers(0, p.n_outcomes, size=n_rows) for p in povms])
+    return OutcomeMatrix(rows, labels, povms)
+
+
+@pytest.mark.parametrize("n_rows", [1, 4095, 4096, 4097, 10001])
+def test_write_csv_matches_csv_writer_across_block_edges(tmp_path, n_rows):
+    sic = build_sic_povm_qubit()
+    om = random_outcomes(n_rows, (sic,) * 4, ("A1", "A2", "B1", "B2"), n_rows)
+    om.write_csv(tmp_path / "o.csv")
+    assert (tmp_path / "o.csv").read_bytes() == reference_csv_bytes(om)
+
+
+def test_write_csv_two_digit_outcomes_and_quoted_label(tmp_path):
+    trit, ququart = build_ic_povm(3, Rng(21)), build_ic_povm(4, Rng(22))
+    labels = ("A,1", 'B "x"', "C1")
+    om = random_outcomes(5000, (trit, ququart, ququart), labels, 9)
+    assert om.rows[:, 0].max() == 8 and om.rows[:, 1].max() == 15
+    path = tmp_path / "o.csv"
+    om.write_csv(path)
+    data = path.read_bytes()
+    assert data == reference_csv_bytes(om)
+    assert data.startswith(b'trial,"A,1","B ""x""",C1\r\n')
+    back = OutcomeMatrix.read_csv(path)
+    assert np.array_equal(back.rows, om.rows)
+    assert back.wire_labels == labels
+
+
+def test_write_csv_splits_columns_into_runs(tmp_path, monkeypatch):
+    # Runs of at most 16 cells: Q1's 25 outcomes exceed the bound, so it
+    # stands alone; (A1, B1) has 16; C1's 9 fit with neither neighbour; (D1, E1).
+    monkeypatch.setattr(sampling, "CSV_BLOCK_ROWS", 7)
+    monkeypatch.setattr(sampling, "CSV_RUN_CELLS", 16)
+    sic, trit, quint = build_sic_povm_qubit(), build_ic_povm(3, Rng(21)), build_ic_povm(5, Rng(23))
+    povms = (quint, sic, sic, trit, sic, sic)
+    runs = sampling._csv_column_runs(tuple(p.n_outcomes for p in povms))
+    assert [(r[0].start, r[0].stop) for r in runs] == [(0, 1), (1, 3), (3, 4), (4, 6)]
+    om = random_outcomes(200, povms, ("Q1", "A1", "B1", "C1", "D1", "E1"), 4)
+    om.write_csv(tmp_path / "o.csv")
+    assert (tmp_path / "o.csv").read_bytes() == reference_csv_bytes(om)
+
+
+def test_write_csv_mostly_distinct_cells(tmp_path):
+    # 4^10 joint cells for 3000 rows: nearly every row is a new cell.
+    sic = build_sic_povm_qubit()
+    om = random_outcomes(3000, (sic,) * 10, tuple(f"w{k}" for k in range(10)), 8)
+    om.write_csv(tmp_path / "o.csv")
+    assert (tmp_path / "o.csv").read_bytes() == reference_csv_bytes(om)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.lists(st.sampled_from([2, 3]), min_size=1, max_size=4),
+    n_rows=st.integers(1, 60),
+    seed=st.integers(0, 2**16),
+)
+def test_csv_write_read_round_trip(dims, n_rows, seed):
+    povms = tuple(build_sic_povm_qubit() if d == 2 else build_ic_povm(3, Rng(21)) for d in dims)
+    labels = tuple(f"w{k}" for k in range(len(dims)))
+    om = random_outcomes(n_rows, povms, labels, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "o.csv"
+        om.write_csv(path)
+        back = OutcomeMatrix.read_csv(path)
+    assert np.array_equal(back.rows, om.rows)
+    assert back.wire_labels == labels
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "1,2,3\r\n2,1.5,4\r\n",  # non-integer cell
+        "1,2,3\r\n2,x,4\r\n",  # non-numeric cell
+        "1,2,3\r\n2,3\r\n",  # ragged row
+        "1,2,3,4\r\n2,3,4,1\r\n",  # every row one column too wide
+        "",  # header only
+    ],
+)
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+def test_read_csv_rejects_malformed_body(tmp_path, body):
+    sic = build_sic_povm_qubit()
+    path = tmp_path / "o.csv"
+    random_outcomes(2, (sic, sic), ("A1", "B1"), 0).write_csv(path)
+    path.write_bytes(b"trial,A1,B1\r\n" + body.encode())
+    with pytest.raises(ValueError):
+        OutcomeMatrix.read_csv(path)
+
+
+def test_read_csv_refuses_float_cells_numpy_only_warns_about(tmp_path, monkeypatch):
+    # Older numpy parses "1.5" into an int column as 1 with a DeprecationWarning.
+    sic = build_sic_povm_qubit()
+    path = tmp_path / "o.csv"
+    random_outcomes(2, (sic, sic), ("A1", "B1"), 0).write_csv(path)
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return np.array([[1, 1, 1], [2, 1, 1]])
+
+    monkeypatch.setattr(sampling.np, "loadtxt", warning_loadtxt)
+    with pytest.raises(ValueError, match="non-integer"):
+        OutcomeMatrix.read_csv(path)
+
+
+def test_read_csv_rejects_header_not_matching_sidecar(tmp_path):
+    sic = build_sic_povm_qubit()
+    path = tmp_path / "o.csv"
+    random_outcomes(2, (sic, sic), ("A1", "B1"), 0).write_csv(path)
+    path.write_bytes(b"trial,B1,A1\r\n1,1,1\r\n")
+    with pytest.raises(ValueError, match="header"):
+        OutcomeMatrix.read_csv(path)
+
+
+def test_wire_povms_follows_rng_children():
+    wires_in = (WireSystem("A1", 2, Direction.INPUT),)
+    wires_out = (WireSystem("B1", 3, Direction.OUTPUT),)
+    embed = np.eye(3, 2, dtype=complex)
+    p = choi_from_kraus([embed], wires_in, wires_out)
+    in_povms, out_povms = wire_povms(p, Rng(5))
+    assert in_povms == (build_sic_povm_qubit(),)
+    (out,) = out_povms
+    ref = build_ic_povm(3, Rng(5).child(1, 0))
+    for ea, eb in zip(out.effects, ref.effects):
+        assert np.array_equal(ea.entries, eb.entries)
+
+
+def test_sic_is_built_once_and_read_only():
+    sic = build_sic_povm_qubit()
+    assert build_sic_povm_qubit() is sic
+    with pytest.raises(ValueError):
+        sic.effects[0].entries[0, 0] = 1.0
+
+
+def test_dual_frame_is_cached_and_unchanged():
+    povm = build_ic_povm(3, Rng(21))
+    duals = dual_frame(povm)
+    assert dual_frame(povm) is duals
+    assert not duals.flags.writeable
+    # The uncached definition, computed afresh.
+    f = sum(np.outer(e.entries.reshape(-1), e.entries.reshape(-1).conj()) for e in povm.effects)
+    f_inv = np.linalg.inv(f)
+    ref = np.stack([(f_inv @ e.entries.reshape(-1)).reshape(3, 3) for e in povm.effects])
+    assert np.array_equal(duals, ref)

@@ -83,7 +83,6 @@ from .algorithms import (
     UnravelParams,
     UnravelResult,
     check_last,
-    check_rank_certificate,
     chi1_sample_count,
     error_bound_approximate,
     estimate_chi1,

@@ -29,6 +29,7 @@ from .channels import (
     is_last_tooth_exact,
     last_tooth_candidates,
     last_tooth_marginals,
+    marginal,
     reduce_channel,
 )
 from .sampling import (
@@ -44,13 +45,13 @@ from .sampling import (
 )
 from .tensors import (
     DEFAULT_RANK_RTOL,
+    LabelledFactor,
     LabelledMatrix,
-    _psd_eigenvalues,
     _rank_eta_of_spectrum,
     _truncation_error_of_spectrum,
     maximally_mixed,
     permute_wires,
-    rank_eta,
+    psd_spectrum,
     tensor_product,
     trace_out,
 )
@@ -154,13 +155,6 @@ class RankCertificate:
         return RankCertificate(
             tuple((int(e["k"]), float(e["eta"]), int(e["r"])) for e in obj)
         )
-
-
-def check_rank_certificate(
-    marginal: LabelledMatrix, eta_max: float, r_max: int
-) -> bool:
-    """True iff the marginal is within eta_max of a rank <= r_max matrix."""
-    return rank_eta(marginal, eta_max) <= r_max
 
 
 def query_budget(n: int, n_swap: int) -> int:
@@ -271,13 +265,14 @@ def check_last(
 # -- the general recursion ---------------------------------------------------------
 
 
-def certify(marg: LabelledMatrix, eta_max: float) -> tuple[float, int]:
+def certify(marg: LabelledMatrix | LabelledFactor, eta_max: float) -> tuple[float, int]:
     """Rank certificate entry (eta, r) of one marginal, from a single spectrum.
 
+    The marginal is dense or a factor, as :func:`channels.marginal` gives it.
     eta is the truncation error of the smallest rank within eta_max of the
     marginal, snapped to zero below CERT_ETA_SNAP; r is the rank at eta.
     """
-    w = _psd_eigenvalues(marg)
+    w = psd_spectrum(marg)
     eta = _truncation_error_of_spectrum(w, _rank_eta_of_spectrum(w, eta_max, DEFAULT_RANK_RTOL))
     if eta < CERT_ETA_SNAP:
         eta = 0.0
@@ -324,7 +319,7 @@ def unravel_general_c(
             if not ins and not outs:
                 break
         steps_rev.append((tuple(found[0]), tuple(found[1])))
-        cert_rev.append(certify(trace_out(cur.choi, found[1]), params.eta_max))
+        cert_rev.append(certify(marginal(cur, found[1]), params.eta_max))
         if set(found[0]) == set(ins) and set(found[1]) == set(outs):
             break
         cur = reduce_channel(cur, found[0], found[1])

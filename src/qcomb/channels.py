@@ -26,6 +26,7 @@ from .tensors import (
     LabelledMatrix,
     WireSystem,
     aligned,
+    compressed_difference,
     difference_trace_norm,
     hs_norm,
     identity,
@@ -49,11 +50,19 @@ HS_SCREEN_SLACK = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class ProcessMatrix:
-    """A channel ``inputs -> outputs`` held as its unit-trace Choi state."""
+    """A channel ``inputs -> outputs`` held as its unit-trace Choi state.
+
+    ``factor`` is present exactly when the process was built from Kraus
+    operators (:func:`choi_from_kraus`, and reductions of such a process);
+    it is the Kraus factor F with F F+ = ``choi``.  Validation, certificates
+    and residuals then run on F instead of on dense spectra.  A process
+    read from a Choi matrix has no factor and is validated densely.
+    """
 
     choi: LabelledMatrix
     inputs: tuple[WireSystem, ...]
     outputs: tuple[WireSystem, ...]
+    factor: LabelledFactor | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inputs", tuple(self.inputs))
@@ -64,7 +73,15 @@ class ProcessMatrix:
             raise ValueError("all output wires must have direction 'output'")
         if self.choi.row_wires != self.inputs + self.outputs:
             raise ValueError("choi wires must be inputs followed by outputs")
-        validate_channel(self.choi, self.inputs, self.outputs)
+        if self.factor is None:
+            validate_channel(self.choi, self.inputs, self.outputs)
+            return
+        if self.factor.wires != self.choi.row_wires:
+            raise ValueError("Kraus factor wires differ from the Choi wires")
+        validate_factor(self.factor, self.inputs, self.outputs)
+        row_norms = np.sum(np.abs(self.factor.entries) ** 2, axis=1)
+        if not np.allclose(np.diagonal(self.choi.entries), row_norms, atol=CHANNEL_ATOL, rtol=0.0):
+            raise ValueError("Kraus factor does not match the Choi diagonal")
 
     @property
     def d_in(self) -> int:
@@ -130,11 +147,33 @@ def validate_channel(
 ) -> None:
     """Check PSD, unit trace, and trace preservation of a Choi state."""
     require_psd(choi)
-    tr = np.trace(choi.entries)
-    if abs(tr - 1.0) > atol:
-        raise ValueError(f"Choi trace {tr:.12f} differs from 1 beyond {atol}")
-    d_in = total_dim(inputs)
     marginal = partial_trace(choi, [w.label for w in inputs])
+    _require_normalised(np.trace(choi.entries), marginal, atol)
+
+
+def validate_factor(
+    f: LabelledFactor,
+    inputs: Sequence[WireSystem],
+    outputs: Sequence[WireSystem],
+    atol: float = CHANNEL_ATOL,
+) -> None:
+    """:func:`validate_channel` of the Choi state F F+, checked on F.
+
+    F F+ is PSD by its form; unit trace and trace preservation are read
+    from the d_in x d_in input marginal, the Gram matrix of F with the
+    output wires traced out.
+    """
+    if not np.isfinite(f.entries).all():
+        raise ValueError("Kraus factor has non-finite entries")
+    marginal = f.trace_out(w.label for w in outputs).gram()
+    _require_normalised(np.trace(marginal.entries), marginal, atol)
+
+
+def _require_normalised(tr: complex, marginal: LabelledMatrix, atol: float) -> None:
+    """Unit Choi trace ``tr`` and trace preservation, Tr_out[C] = I/d_in, on the input marginal."""
+    if abs(tr - 1.0) > atol:
+        raise ValueError(f"Choi trace {tr.real:.12f} differs from 1 beyond {atol}")
+    d_in = marginal.entries.shape[0]
     if not np.allclose(marginal.entries, np.eye(d_in) / d_in, atol=atol, rtol=0.0):
         raise ValueError("channel is not trace-preserving: Tr_out[C] != I/d_in")
 
@@ -145,7 +184,7 @@ def choi_from_kraus(
     outputs: Sequence[WireSystem],
     atol: float = CHANNEL_ATOL,
 ) -> ProcessMatrix:
-    """Assemble the unit-trace Choi state of ``rho -> sum_K K rho K+``."""
+    """Assemble the unit-trace Choi state of ``rho -> sum_K K rho K+``, with its Kraus factor."""
     inputs = tuple(inputs)
     outputs = tuple(outputs)
     d_in = total_dim(inputs)
@@ -164,7 +203,9 @@ def choi_from_kraus(
         v = k.T.reshape(-1)  # index (input, output), row-major
         c += np.outer(v, v.conj())
     c /= d_in
-    return ProcessMatrix(LabelledMatrix(c, inputs + outputs), inputs, outputs)
+    return ProcessMatrix(
+        LabelledMatrix(c, inputs + outputs), inputs, outputs, kraus_factor(kraus, inputs, outputs)
+    )
 
 
 def kraus_factor(
@@ -404,7 +445,8 @@ def last_tooth_residual(p: ProcessMatrix, P: Iterable[str], Q: Iterable[str]) ->
     """Trace-norm defect of the last-tooth factorization for candidate (P, Q).
 
     Measures || Tr_Q[C] - Tr_{P u Q}[C] x I_P/d_P ||_1; the candidate is a
-    valid last tooth exactly when this vanishes.
+    valid last tooth exactly when this vanishes.  Computed on the Kraus
+    factor when the process has one.
     """
     return trace_norm(_last_tooth_difference(p, P, Q))
 
@@ -457,6 +499,9 @@ def factored_last_tooth_residual(f: LabelledFactor, P: Iterable[str], Q: Iterabl
 def _last_tooth_difference(
     p: ProcessMatrix, P: Iterable[str], Q: Iterable[str]
 ) -> LabelledMatrix:
+    """The residual's difference operator; compressed to its range when there is a Kraus factor."""
+    if p.factor is not None:
+        return compressed_difference(*last_tooth_factors(p.factor, P, Q))
     c1, c2 = last_tooth_marginals(p, P, Q)
     return LabelledMatrix(c1.entries - c2.entries, c1.row_wires)
 
@@ -485,7 +530,19 @@ def reduce_channel(p: ProcessMatrix, P: Iterable[str], Q: Iterable[str]) -> Proc
     reduced = trace_out(p.choi, P | Q)
     inputs = tuple(w for w in p.inputs if w.label not in P)
     outputs = tuple(w for w in p.outputs if w.label not in Q)
-    return ProcessMatrix(reduced, inputs, outputs)
+    factor = None if p.factor is None else p.factor.trace_out(P | Q)
+    return ProcessMatrix(reduced, inputs, outputs, factor)
+
+
+def marginal(p: ProcessMatrix, drop: Iterable[str]) -> LabelledMatrix | LabelledFactor:
+    """The marginal Tr_drop[C]: as a factor when the process has a Kraus factor.
+
+    Either form gives its spectrum to :func:`tensors.psd_spectrum`; the
+    factor's is the squared singular values of a thin matrix.
+    """
+    if p.factor is not None:
+        return p.factor.trace_out(drop)
+    return trace_out(p.choi, drop)
 
 
 def last_tooth_candidates(

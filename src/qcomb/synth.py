@@ -24,10 +24,10 @@ from .channels import (
     chi1_of_joint,
     choi_from_kraus,
     comb_kraus,
-    compose_comb,
     factored_last_tooth_residual,
     kraus_factor,
     last_tooth_candidates,
+    validate_factor,
 )
 from .sampling import GenerationError, Rng
 from .tensors import (
@@ -280,8 +280,8 @@ def random_comb(spec: SynthSpec, rng: Rng) -> tuple[Comb, GroundTruth]:
     for attempt in range(MAX_REJECTIONS):
         gen = rng.child(attempt).generator()
         comb = builder(spec, gen)
-        compose_comb(comb)  # validates the draw's Choi state as a channel
         f = kraus_factor(comb_kraus(comb), comb.input_wires, comb.output_wires)
+        validate_factor(f, comb.input_wires, comb.output_wires)
         truth = comb.ground_truth()
         if spec.family == "total_order_chain":
             vals = _total_order_probes(f, spec.n)

@@ -234,31 +234,43 @@ class LabelledFactor:
         f = self.entries
         return LabelledMatrix(f @ f.conj().T, self.wires)
 
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of F F+: the squared singular values of F, zero-padded to its side."""
+        w = np.zeros(self.entries.shape[0])
+        s = np.linalg.svd(self.entries, compute_uv=False)
+        w[: len(s)] = s**2
+        return w
+
     def rank(self, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
         """:func:`matrix_rank` of F F+, from the squared singular values of F."""
-        s = np.linalg.svd(self.entries, compute_uv=False)
-        return _rank_of_spectrum(s**2, rel_tol)
+        return _rank_of_spectrum(self.spectrum(), rel_tol)
 
 
-def difference_trace_norm(plus: LabelledFactor, minus: LabelledFactor) -> float:
-    """||F+ F+^+ - F- F-^+||_1 for two factors on the same wires.
+def compressed_difference(plus: LabelledFactor, minus: LabelledFactor) -> LabelledMatrix:
+    """F+ F+^+ - F- F-^+ for two factors on the same wires, on no more dimensions than needed.
 
     With fewer columns k than rows, a thin QR [F+ F-] = QR confines the
-    difference to the range of Q: it is Q R J R+ Q+ with J = diag(I, -I),
-    whose trace norm is that of the k x k matrix R J R+.  Otherwise that
-    matrix would be no smaller than the dense difference, which is formed
-    directly.
+    difference to the range of Q: it is Q R J R+ Q+ with J = diag(I, -I).
+    The k x k matrix R J R+ then stands in for it, on one wire labelled
+    ``range``: it has the same nonzero eigenvalues, so the same trace and
+    Hilbert-Schmidt norms, and its side bounds the difference's rank.
+    Otherwise that matrix would be no smaller than the dense difference,
+    which is returned on the factors' wires.
     """
     if plus.wires != minus.wires:
         raise ValueError("factors must carry the same wires in the same order")
     both = np.hstack([plus.entries, minus.entries])
     if both.shape[1] >= both.shape[0]:
-        diff = plus.gram().entries - minus.gram().entries
-    else:
-        r = np.linalg.qr(both, mode="r")
-        r_plus, r_minus = r[:, : plus.entries.shape[1]], r[:, plus.entries.shape[1] :]
-        diff = r_plus @ r_plus.conj().T - r_minus @ r_minus.conj().T
-    return float(np.abs(np.linalg.eigvalsh(diff)).sum())
+        return LabelledMatrix(plus.gram().entries - minus.gram().entries, plus.wires)
+    r = np.linalg.qr(both, mode="r")
+    r_plus, r_minus = r[:, : plus.entries.shape[1]], r[:, plus.entries.shape[1] :]
+    diff = r_plus @ r_plus.conj().T - r_minus @ r_minus.conj().T
+    return LabelledMatrix(diff, (WireSystem("range", diff.shape[0], Direction.OUTPUT),))
+
+
+def difference_trace_norm(plus: LabelledFactor, minus: LabelledFactor) -> float:
+    """||F+ F+^+ - F- F-^+||_1 for two factors on the same wires."""
+    return trace_norm(compressed_difference(plus, minus))
 
 
 # -- constructors ---------------------------------------------------------
@@ -377,6 +389,13 @@ def _psd_eigenvalues(m: LabelledMatrix) -> np.ndarray:
     return w
 
 
+def psd_spectrum(m: LabelledMatrix | LabelledFactor) -> np.ndarray:
+    """Eigenvalues of a PSD operator, held densely (and checked PSD) or as a factor."""
+    if isinstance(m, LabelledFactor):
+        return m.spectrum()
+    return _psd_eigenvalues(m)
+
+
 def require_psd(m: LabelledMatrix) -> None:
     """Raise NotPSDError unless ``m`` is Hermitian with no eigenvalue below EIG_FLOOR.
 
@@ -406,24 +425,32 @@ def _rank_of_spectrum(w: np.ndarray, rel_tol: float) -> int:
     return int(np.count_nonzero(w > rel_tol * top))
 
 
+def _tail_norms(w: np.ndarray) -> np.ndarray:
+    """tails[r], r = 0..len(w): root-sum-square of all but the r largest magnitudes.
+
+    Rank selection and truncation error both read this one array, so the
+    error of the rank chosen for eta selects that same rank again.
+    """
+    w = _sorted_magnitudes(w)
+    return np.sqrt(np.concatenate([np.cumsum(w[::-1] ** 2)[::-1], [0.0]]))
+
+
 def _rank_eta_of_spectrum(w: np.ndarray, eta: float, rel_tol: float) -> int:
     if eta == 0:
         return _rank_of_spectrum(w, rel_tol)
-    w = _sorted_magnitudes(w)
-    if w.max(initial=0.0) == 0.0:
+    if np.abs(w).max(initial=0.0) == 0.0:
         return 0
-    tail_sq = np.concatenate([np.cumsum(w[::-1] ** 2)[::-1], [0.0]])  # tail_sq[r] for r=0..d
+    tails = _tail_norms(w)
     for r in range(1, len(w) + 1):
-        if np.sqrt(tail_sq[r]) <= eta:
+        if tails[r] <= eta:
             return r
     return len(w)
 
 
 def _truncation_error_of_spectrum(w: np.ndarray, r: int) -> float:
-    w = _sorted_magnitudes(w)
     if r >= len(w):
         return 0.0
-    return float(np.sqrt(np.sum(w[r:] ** 2)))
+    return float(_tail_norms(w)[r])
 
 
 def matrix_rank(m: LabelledMatrix, rel_tol: float = DEFAULT_RANK_RTOL) -> int:

@@ -10,7 +10,6 @@ from qcomb.algorithms import (
     UnravelResult,
     check_last,
     certify,
-    check_rank_certificate,
     chi1_sample_count,
     error_bound_approximate,
     estimate_chi1,
@@ -26,11 +25,13 @@ from qcomb.algorithms import (
 )
 from qcomb.channels import (
     Comb,
+    ProcessMatrix,
     Tooth,
     chi1,
     choi_from_kraus,
     comb_membership,
     compose_comb,
+    marginal,
     membership_residuals,
     reduce_channel,
 )
@@ -46,8 +47,8 @@ from qcomb.tensors import (
     Direction,
     WireSystem,
     aligned,
+    LabelledFactor,
     LabelledMatrix,
-    maximally_mixed,
     rank_eta,
     trace_norm,
     trace_out,
@@ -328,6 +329,48 @@ def test_single_spectrum_certify_is_bit_identical(d_env):
     assert len(etas) > 2  # nonzero truncation errors were compared too
 
 
+FACTOR_CASES = [(n, d_env, "isometric_chain") for n in (2, 3, 4, 5) for d_env in (1, 2)] + [
+    (2, d_env, "entangling_c2") for d_env in (1, 2)
+]
+
+
+def _seeded_chain(n, d_env, family):
+    """A seeded comb's process (with its Kraus factor), its dense reference and its truth."""
+    spec = SynthSpec(n=n, d=2, d_mem=2, d_env=d_env, family=family, chi_min_target=0.0)
+    comb, truth = random_comb(spec, Rng(n + d_env))
+    p = compose_comb(comb)
+    return p, ProcessMatrix(p.choi, p.inputs, p.outputs), truth.ordering
+
+
+@pytest.mark.parametrize("n,d_env,family", FACTOR_CASES)
+def test_certify_on_factor_matches_dense(n, d_env, family):
+    p, ref, truth = _seeded_chain(n, d_env, family)
+    etas = set()
+    for pk, qk in reversed(truth.steps):
+        got_marg, want_marg = marginal(p, qk), marginal(ref, qk)
+        assert isinstance(got_marg, LabelledFactor) and isinstance(want_marg, LabelledMatrix)
+        for eta_max in (0.0, 1e-2, 0.15, 0.3, 1.0):
+            (eta, r), (want_eta, want_r) = certify(got_marg, eta_max), certify(want_marg, eta_max)
+            assert abs(eta - want_eta) <= 1e-12 and r == want_r, (pk, qk, eta_max)
+            etas.add(want_eta)
+        if len(p.inputs) > 1:
+            p, ref = reduce_channel(p, pk, qk), reduce_channel(ref, pk, qk)
+    assert len(etas) > 1  # nonzero truncation errors were compared too
+
+
+@pytest.mark.parametrize("n,d_env,family", FACTOR_CASES)
+def test_unravel_on_factor_matches_dense(n, d_env, family):
+    p, ref, truth = _seeded_chain(n, d_env, family)
+    params = UnravelParams(mode="exact", c=2 if family == "entangling_c2" else 1, eta_max=0.3)
+    got, want = unravel_general_c(p, params, Rng(0)), unravel_general_c(ref, params, Rng(0))
+    assert got.unravelling == want.unravelling
+    assert comb_membership(ref, got.unravelling)
+    pairs = zip(got.certificate.records, want.certificate.records, strict=True)
+    for (k, eta, r), (want_k, want_eta, want_r) in pairs:
+        assert k == want_k and r == want_r and abs(eta - want_eta) <= 1e-12
+    assert got.error_bound == pytest.approx(want.error_bound, rel=1e-9, abs=1e-12)
+
+
 def test_rank_certificate_properties_and_json():
     cert = RankCertificate(((1, 0.01, 1), (2, 0.0, 3)))
     assert cert.eta_max == 0.01
@@ -336,13 +379,6 @@ def test_rank_certificate_properties_and_json():
     empty = RankCertificate(())
     assert empty.eta_max == 0.0
     assert empty.r_max == 1
-
-
-def test_check_rank_certificate_thresholds():
-    mm = maximally_mixed((win("A1"), win("A2")))
-    assert check_rank_certificate(mm, 0.6, 1)
-    assert not check_rank_certificate(mm, 0.0, 3)
-    assert check_rank_certificate(mm, 0.0, 4)
 
 
 def test_error_bound_frozen_value_and_monotonicity():

@@ -1,7 +1,11 @@
 """Choi processes, combs, chi_1, and the exact structure oracles."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcomb.channels import (
     Comb,
@@ -24,6 +28,8 @@ from qcomb.channels import (
     membership_residuals,
     reduce_channel,
     standardize,
+    validate_channel,
+    validate_factor,
     _swap_matrix,
 )
 from qcomb.sampling import Rng
@@ -74,6 +80,11 @@ def swap_across_teeth():
     t1 = Tooth((v1,), (win("A1"),), (wout("B1"),), 1, 2)
     t2 = Tooth((_swap_matrix(2, 2),), (win("A2"),), (wout("B2"),), 2, 2)
     return compose_comb(Comb((t1, t2)))
+
+
+def dense(p):
+    """The same process without its Kraus factor: the dense reference path."""
+    return ProcessMatrix(p.choi, p.inputs, p.outputs)
 
 
 def random_density(rng, d):
@@ -272,7 +283,7 @@ class TestLastTooth:
 
     def test_factored_residual_on_cnot(self):
         f = kraus_factor([CNOT], (win("A1"), win("A2")), (wout("B1"), wout("B2")))
-        p = cnot_process()
+        p = dense(cnot_process())
         for P, Q in [({"A2"}, {"B2"}), ({"A1"}, {"B2"}), ({"A1", "A2"}, {"B1", "B2"})]:
             assert factored_last_tooth_residual(f, P, Q) == pytest.approx(
                 last_tooth_residual(p, P, Q), abs=1e-12
@@ -293,23 +304,26 @@ class TestLastTooth:
         monkeypatch.setattr(
             channels, "trace_norm", lambda m: band_calls.append(1) or trace_norm(m)
         )
-        branches = set()
+        # Both the Kraus-factor process and its dense reference are screened.
+        branches = {"factor": set(), "dense": set()}
         for seed in (3, 4):
             comb, _ = random_comb(SynthSpec(n=n, d=2, d_mem=2, d_env=seed - 2), Rng(seed))
-            p = compose_comb(comb)
+            factored = compose_comb(comb)
             c = 2 if n < 4 else 1
-            for P, Q in last_tooth_candidates(p.input_labels, p.output_labels, c):
-                c1, c2 = last_tooth_marginals(p, P, Q)
-                x = LabelledMatrix(c1.entries - c2.entries, c1.row_wires)
-                hs, tn, root_d = hs_norm(x), trace_norm(x), np.sqrt(c1.entries.shape[0])
-                residual = last_tooth_residual(p, P, Q)
-                for tol in (0.0, 1e-8, 0.5 * hs, hs, 0.5 * (hs + tn), tn,
-                            1.001 * tn, root_d * hs, 1.001 * root_d * hs, 2.0 * root_d * hs):
-                    band_calls.clear()
-                    verdict = is_last_tooth_exact(p, P, Q, tol)
-                    assert verdict == (residual <= tol), (P, Q, tol, hs, tn)
-                    branches.add("trace norm" if band_calls else f"screen {verdict}")
-        assert branches == {"trace norm", "screen True", "screen False"}
+            for backend, p in (("factor", factored), ("dense", dense(factored))):
+                for P, Q in last_tooth_candidates(p.input_labels, p.output_labels, c):
+                    c1, c2 = last_tooth_marginals(p, P, Q)
+                    x = LabelledMatrix(c1.entries - c2.entries, c1.row_wires)
+                    hs, tn, root_d = hs_norm(x), trace_norm(x), np.sqrt(c1.entries.shape[0])
+                    residual = last_tooth_residual(p, P, Q)
+                    for tol in (0.0, 1e-8, 0.5 * hs, hs, 0.5 * (hs + tn), tn,
+                                1.001 * tn, root_d * hs, 1.001 * root_d * hs, 2.0 * root_d * hs):
+                        band_calls.clear()
+                        verdict = is_last_tooth_exact(p, P, Q, tol)
+                        assert verdict == (residual <= tol), (backend, P, Q, tol, hs, tn)
+                        branches[backend].add("trace norm" if band_calls else f"screen {verdict}")
+        for seen in branches.values():
+            assert seen == {"trace norm", "screen True", "screen False"}
 
 
 class TestReduceChannel:
@@ -408,3 +422,113 @@ class TestStandardize:
         p = choi_from_kraus([j], (win("A1", 2),), (wout("B1", 3),))
         assert kraus_rank(p) == 1
         assert kraus_rank(standardize(p)) > 1
+
+
+# -- the Kraus factor carried by Kraus-built processes ------------------------------
+
+
+def _validation_message(check, *args):
+    """The ValueError a validation raises, numbers masked, or None when it passes.
+
+    The two paths sum the trace in different orders, so a printed digit may
+    differ in the last place.
+    """
+    try:
+        check(*args)
+    except ValueError as exc:
+        return re.sub(r"\d+\.\d+", "#", str(exc))
+    return None
+
+
+def _seeded_chain(n, d_env, family="isometric_chain"):
+    """The first draw of a seeded comb, with no floor on its causal signal."""
+    spec = SynthSpec(n=n, d=2, d_mem=2, d_env=d_env, family=family, chi_min_target=0.0)
+    comb, truth = random_comb(spec, Rng(n + d_env))
+    return compose_comb(comb), truth.ordering
+
+
+CHAIN_CASES = [(n, d_env, "isometric_chain") for n in (2, 3, 4, 5) for d_env in (1, 2)] + [
+    (2, d_env, "entangling_c2") for d_env in (1, 2)
+]
+
+
+class TestKrausFactor:
+    def test_factor_present_exactly_for_kraus_built_processes(self):
+        p = cnot_process()
+        kraus_obj = {
+            "inputs": [w.to_json() for w in p.inputs],
+            "outputs": [w.to_json() for w in p.outputs],
+            "repr": "kraus",
+            "kraus": [{"re": CNOT.real.tolist(), "im": CNOT.imag.tolist()}],
+        }
+        for q in (p, product_identity_pair(), ProcessMatrix.from_json(kraus_obj)):
+            assert q.factor is not None
+            assert q.factor.wires == q.choi.row_wires
+            np.testing.assert_allclose(q.factor.gram().entries, q.choi.entries, atol=1e-15)
+        assert ProcessMatrix.from_json(p.to_json()).factor is None
+        assert reduce_channel(dense(p), {"A2"}, {"B2"}).factor is None
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        env=st.integers(1, 3),
+        scale=st.sampled_from([0.0, 1e-12, -1e-11, 1e-6, -1e-3, 0.2]),
+        tilt=st.sampled_from([0.0, 1e-12, -1e-6, 0.1]),
+    )
+    def test_factor_check_matches_validate_channel(self, seed, env, scale, tilt):
+        # (1+scale) moves the trace away from 1, the tilt breaks trace
+        # preservation at unit trace; both act beyond CHANNEL_ATOL or well
+        # inside it.
+        channel = random_qubit_channel(np.random.default_rng(seed), env)
+        tilted = np.diag([np.sqrt(1.0 + tilt), np.sqrt(1.0 - tilt)])
+        kraus = [(1.0 + scale) * k @ tilted for k in kraus_from_choi(channel)]
+        ins, outs = (win("A1"),), (wout("B1"),)
+        f = kraus_factor(kraus, ins, outs)
+        c = f.gram()
+        want = _validation_message(validate_channel, c, ins, outs)
+        assert _validation_message(validate_factor, f, ins, outs) == want
+        assert _validation_message(ProcessMatrix, c, ins, outs, f) == want
+        assert (want is None) == (scale in (0.0, 1e-12, -1e-11) and tilt in (0.0, 1e-12))
+
+    def test_non_finite_factor_refused(self):
+        p = cnot_process()
+        bad = CNOT.copy()
+        bad[0, 0] = np.nan
+        f = kraus_factor([bad], p.inputs, p.outputs)
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_factor(f, p.inputs, p.outputs)
+        with pytest.raises(ValueError):
+            validate_channel(f.gram(), p.inputs, p.outputs)
+        with pytest.raises(ValueError, match="non-finite"):
+            ProcessMatrix(p.choi, p.inputs, p.outputs, f)
+
+    def test_factor_of_another_process_refused(self):
+        p = random_qubit_channel(np.random.default_rng(1))
+        other = random_qubit_channel(np.random.default_rng(2))
+        with pytest.raises(ValueError, match="Choi diagonal"):
+            ProcessMatrix(p.choi, p.inputs, p.outputs, other.factor)
+        q = cnot_process()
+        with pytest.raises(ValueError, match="wires differ"):
+            ProcessMatrix(q.choi, q.inputs, q.outputs, q.factor.permute_wires(["A2", "A1", "B1", "B2"]))
+
+    @pytest.mark.parametrize("n,d_env,family", CHAIN_CASES)
+    def test_reduced_factor_matches_dense_reduction(self, n, d_env, family):
+        p, truth = _seeded_chain(n, d_env, family=family)
+        ref = dense(p)
+        for pk, qk in reversed(truth.steps[1:]):
+            p, ref = reduce_channel(p, pk, qk), reduce_channel(ref, pk, qk)
+            assert ref.factor is None
+            assert np.array_equal(p.choi.entries, ref.choi.entries)
+            assert np.abs(p.factor.gram().entries - p.choi.entries).max() <= 1e-14
+
+    @pytest.mark.parametrize("n,d_env,family", CHAIN_CASES)
+    def test_membership_residuals_on_factor_match_dense(self, n, d_env, family):
+        p, truth = _seeded_chain(n, d_env, family=family)
+        # The true ordering gives zero residuals.  Its reverse gives nonzero
+        # ones once the teeth share memory, which needs d_env > 1.
+        for u in (truth, Unravelling(tuple(reversed(truth.steps)))):
+            got, want = membership_residuals(p, u), membership_residuals(dense(p), u)
+            assert len(got) == len(want) == len(u) - 1
+            assert np.max(np.abs(np.subtract(got, want)), initial=0.0) <= 1e-12
+        if d_env > 1:
+            assert max(membership_residuals(p, Unravelling(tuple(reversed(truth.steps))))) > 1e-3

@@ -192,6 +192,35 @@ def test_unravel_malformed_process_is_usage_error(tmp_path):
     ) == 2
 
 
+def test_choi_file_is_validated_densely_and_comb_file_on_its_factor(tmp_path, monkeypatch):
+    import qcomb.channels as channels
+    from qcomb.cli import load_process
+
+    calls = []
+    real = channels.validate_channel
+    monkeypatch.setattr(channels, "validate_channel", lambda *a: calls.append(1) or real(*a))
+    choi = load_process(str(write_cnot(tmp_path / "cnot.json")))
+    assert choi.factor is None and calls == [1]
+    comb, _ = gen_chain(tmp_path, n=2)
+    assert load_process(str(comb)).factor is not None and calls == [1]
+
+
+def test_non_psd_choi_file_exits_2(tmp_path, capsys):
+    # Unit trace and trace-preserving, but eigenvalues 0.5 +- 0.7.
+    c = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+    c[0, 3] = c[3, 0] = 0.7
+    wires = [WireSystem("A1", 2, Direction.INPUT), WireSystem("B1", 2, Direction.OUTPUT)]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "inputs": [wires[0].to_json()],
+        "outputs": [wires[1].to_json()],
+        "repr": "choi",
+        "choi": {"wires": [x.to_json() for x in wires], "re": c.real.tolist(), "im": c.imag.tolist()},
+    }))
+    assert main(["unravel", "--process", str(bad), "--out", str(tmp_path / "r.json")]) == 2
+    assert "below the PSD floor" in capsys.readouterr().err
+
+
 # -- verify -----------------------------------------------------------------------
 
 

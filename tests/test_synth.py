@@ -5,6 +5,7 @@ import pytest
 
 from qcomb import synth
 from qcomb.channels import (
+    ProcessMatrix,
     chi1,
     comb_kraus,
     comb_membership,
@@ -281,7 +282,7 @@ def _dense_random_comb(spec, rng):
     """random_comb with every probe and the rank taken on the dense Choi state."""
     for attempt in range(MAX_REJECTIONS):
         comb = synth._BUILDERS[spec.family](spec, rng.child(attempt).generator())
-        p = compose_comb(comb)
+        p = _dense(comb)
         truth = comb.ground_truth()
         if spec.family == "total_order_chain":
             vals = _dense_total_order_probes(p, spec.n)
@@ -296,6 +297,12 @@ def _dense_random_comb(spec, rng):
 
 def _factor(comb):
     return kraus_factor(comb_kraus(comb), comb.input_wires, comb.output_wires)
+
+
+def _dense(comb):
+    """The comb's process without its Kraus factor, so every probe runs densely."""
+    p = compose_comb(comb)
+    return ProcessMatrix(p.choi, p.inputs, p.outputs)
 
 
 DIFFERENTIAL_SPECS = (
@@ -314,7 +321,7 @@ def test_factored_probes_match_dense_residuals(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qr_calls.append(1) or real_qr(*a, **k))
     residuals = 0
     for spec, comb in zip(DIFFERENTIAL_SPECS, combs):
-        p, f, truth = compose_comb(comb), _factor(comb), comb.ground_truth()
+        p, f, truth = _dense(comb), _factor(comb), comb.ground_truth()
         c = synth._PROBE_C[spec.family]
         want, got = _dense_probe_values(p, truth, c), probe_values(f, truth, c)
         assert len(got) == len(want)

@@ -15,6 +15,7 @@ from qcomb.tensors import (
     NotPSDError,
     WireSystem,
     aligned,
+    compressed_difference,
     difference_trace_norm,
     hs_norm,
     identity,
@@ -467,6 +468,25 @@ class TestLabelledFactor:
         minus = random_factor(rng, FACTOR_WIRES, k_minus)
         dense = trace_norm(lm(plus.gram().entries - minus.gram().entries, *FACTOR_WIRES))
         assert difference_trace_norm(plus, minus) == pytest.approx(dense, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 24, 30])
+    def test_spectrum_matches_dense_eigenvalues(self, k):
+        f = random_factor(np.random.default_rng(k), FACTOR_WIRES, k)
+        got = np.sort(f.spectrum())
+        assert got.shape == (total_dim(FACTOR_WIRES),)
+        np.testing.assert_allclose(got, _psd_eigenvalues(f.gram()), rtol=0, atol=1e-12 * got[-1])
+
+    @pytest.mark.parametrize("k_plus,k_minus", [(1, 1), (2, 8), (0, 3), (12, 12), (30, 2)])
+    def test_compressed_difference_keeps_norms(self, k_plus, k_minus):
+        rng = np.random.default_rng(k_plus + 100 * k_minus)
+        plus = random_factor(rng, FACTOR_WIRES, k_plus)
+        minus = random_factor(rng, FACTOR_WIRES, k_minus)
+        dense = lm(plus.gram().entries - minus.gram().entries, *FACTOR_WIRES)
+        small = compressed_difference(plus, minus)
+        # Its side bounds the difference's rank, as the HS screen requires.
+        assert small.entries.shape[0] == min(k_plus + k_minus, total_dim(FACTOR_WIRES))
+        assert hs_norm(small) == pytest.approx(hs_norm(dense), rel=1e-12)
+        assert trace_norm(small) == pytest.approx(trace_norm(dense), rel=1e-12)
 
     def test_difference_trace_norm_needs_equal_wires(self):
         f = random_factor(np.random.default_rng(3), FACTOR_WIRES, 1)

@@ -9,6 +9,7 @@ The package splits along the data it touches:
 * :mod:`qcomb.synth` random process generators with known ground truth
 * :mod:`qcomb.algorithms` the unravelling procedures and their certificates
 * :mod:`qcomb.cli` the ``qcomb`` command-line front end
+* :mod:`qcomb.fileio` output files rewritten in place
 """
 
 from .tensors import (

@@ -28,6 +28,7 @@ from .channels import (
     Unravelling,
     is_last_tooth_exact,
     last_tooth_candidates,
+    last_tooth_factors,
     last_tooth_marginals,
     marginal,
     reduce_channel,
@@ -220,9 +221,13 @@ def sampled_last_tooth_statistic(
 
     Three overlap estimates p1 = Tr[C1 C1], p2 = Tr[C2 C2], p3 = Tr[C1 C2],
     each from its own batch of shots; every shot consumes two prepared
-    states, i.e. two process queries.
+    states, i.e. two process queries.  The overlaps are taken on the Kraus
+    factor's marginals when the process has one.
     """
-    c1, c2 = last_tooth_marginals(p, P, Q)
+    if p.factor is not None:
+        c1, c2 = last_tooth_factors(p.factor, P, Q)
+    else:
+        c1, c2 = last_tooth_marginals(p, P, Q)
     n_shots = swaptest_draw_count(eps, kappa)
     p1 = swaptest_estimate(c1, c1, eps, kappa, rng.child(0))
     p2 = swaptest_estimate(c2, c2, eps, kappa, rng.child(1))

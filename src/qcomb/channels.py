@@ -13,10 +13,11 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -48,40 +49,69 @@ DEFAULT_EXACT_TOL = 1e-8
 HS_SCREEN_SLACK = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
 class ProcessMatrix:
     """A channel ``inputs -> outputs`` held as its unit-trace Choi state.
 
     ``factor`` is present exactly when the process was built from Kraus
     operators (:func:`choi_from_kraus`, and reductions of such a process);
-    it is the Kraus factor F with F F+ = ``choi``.  Validation, certificates
-    and residuals then run on F instead of on dense spectra.  A process
-    read from a Choi matrix has no factor and is validated densely.
+    it is the Kraus factor F with F F+ = ``choi``.  Validation, certificates,
+    residuals and SWAP-test overlaps then run on F instead of on dense
+    matrices.  A process read from a Choi matrix has no factor and is
+    validated densely.
+
+    ``choi`` is a :class:`LabelledMatrix` or, when F is given, a zero-argument
+    function that builds it.  Such a dense Choi matrix is built on first read
+    of ``choi`` and cached, so exact and sampled unravelling and
+    verification of a Kraus-built process never form it.  The readers that
+    still build it are the POVM cell law (``sampling.exact_cell_probabilities``),
+    :func:`chi1`, ``algorithms.memoryless_comparison``, :meth:`to_json`,
+    :func:`kraus_rank` and :func:`apply_channel`; also :func:`kraus_from_choi`
+    (and so :func:`standardize`) and the dense builders of ``synth``
+    (``random_memoryless``, ``apply_wire_permutation``).
     """
 
-    choi: LabelledMatrix
-    inputs: tuple[WireSystem, ...]
-    outputs: tuple[WireSystem, ...]
-    factor: LabelledFactor | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
+    def __init__(
+        self,
+        choi: LabelledMatrix | Callable[[], LabelledMatrix],
+        inputs: Iterable[WireSystem],
+        outputs: Iterable[WireSystem],
+        factor: LabelledFactor | None = None,
+    ) -> None:
+        state = vars(self)
+        state.update(inputs=tuple(inputs), outputs=tuple(outputs), factor=factor)
         if any(w.direction is not Direction.INPUT for w in self.inputs):
             raise ValueError("all input wires must have direction 'input'")
         if any(w.direction is not Direction.OUTPUT for w in self.outputs):
             raise ValueError("all output wires must have direction 'output'")
-        if self.choi.row_wires != self.inputs + self.outputs:
-            raise ValueError("choi wires must be inputs followed by outputs")
-        if self.factor is None:
-            validate_channel(self.choi, self.inputs, self.outputs)
+        wires = self.inputs + self.outputs
+        if isinstance(choi, LabelledMatrix):
+            if choi.row_wires != wires:
+                raise ValueError("choi wires must be inputs followed by outputs")
+            state["choi"] = choi
+        elif factor is None:
+            raise ValueError("a deferred Choi matrix needs a Kraus factor")
+        else:
+            state["_build_choi"] = choi
+        if factor is None:
+            validate_channel(choi, self.inputs, self.outputs)
             return
-        if self.factor.wires != self.choi.row_wires:
+        if factor.wires != wires:
             raise ValueError("Kraus factor wires differ from the Choi wires")
-        validate_factor(self.factor, self.inputs, self.outputs)
-        row_norms = np.sum(np.abs(self.factor.entries) ** 2, axis=1)
-        if not np.allclose(np.diagonal(self.choi.entries), row_norms, atol=CHANNEL_ATOL, rtol=0.0):
-            raise ValueError("Kraus factor does not match the Choi diagonal")
+        validate_factor(factor, self.inputs, self.outputs)
+        if "choi" in state:
+            row_norms = np.sum(np.abs(factor.entries) ** 2, axis=1)
+            if not np.allclose(np.diagonal(choi.entries), row_norms, atol=CHANNEL_ATOL, rtol=0.0):
+                raise ValueError("Kraus factor does not match the Choi diagonal")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"ProcessMatrix is immutable: cannot set {name!r}")
+
+    @functools.cached_property
+    def choi(self) -> LabelledMatrix:
+        """The dense Choi matrix; a deferred one is built here, once."""
+        c = self._build_choi()
+        del vars(self)["_build_choi"]
+        return c
 
     @property
     def d_in(self) -> int:
@@ -184,12 +214,15 @@ def choi_from_kraus(
     outputs: Sequence[WireSystem],
     atol: float = CHANNEL_ATOL,
 ) -> ProcessMatrix:
-    """Assemble the unit-trace Choi state of ``rho -> sum_K K rho K+``, with its Kraus factor."""
+    """The unit-trace Choi state of ``rho -> sum_K K rho K+``, with its Kraus factor.
+
+    The dense Choi matrix is assembled only when ``choi`` is first read.
+    """
     inputs = tuple(inputs)
     outputs = tuple(outputs)
     d_in = total_dim(inputs)
     d_out = total_dim(outputs)
-    kraus = [np.asarray(k, dtype=np.complex128) for k in kraus]
+    kraus = [np.array(k, dtype=np.complex128) for k in kraus]  # copies: assembly may run later
     if not kraus:
         raise ValueError("empty Kraus set")
     for k in kraus:
@@ -198,14 +231,24 @@ def choi_from_kraus(
     total = sum(k.conj().T @ k for k in kraus)
     if not np.allclose(total, np.eye(d_in), atol=atol, rtol=0.0):
         raise ValueError("Kraus set is not trace-preserving (sum K+K != I)")
-    c = np.zeros((d_in * d_out, d_in * d_out), dtype=np.complex128)
+
+    def assemble() -> LabelledMatrix:
+        return _assemble_choi(kraus, inputs + outputs, d_in)
+
+    return ProcessMatrix(assemble, inputs, outputs, kraus_factor(kraus, inputs, outputs))
+
+
+def _assemble_choi(
+    kraus: Sequence[np.ndarray], wires: tuple[WireSystem, ...], d_in: int
+) -> LabelledMatrix:
+    """The dense Choi state sum_K |K>><<K| / d_in of a checked Kraus set."""
+    d = total_dim(wires)
+    c = np.zeros((d, d), dtype=np.complex128)
     for k in kraus:
         v = k.T.reshape(-1)  # index (input, output), row-major
         c += np.outer(v, v.conj())
     c /= d_in
-    return ProcessMatrix(
-        LabelledMatrix(c, inputs + outputs), inputs, outputs, kraus_factor(kraus, inputs, outputs)
-    )
+    return LabelledMatrix(c, wires)
 
 
 def kraus_factor(
@@ -522,16 +565,21 @@ def reduce_channel(p: ProcessMatrix, P: Iterable[str], Q: Iterable[str]) -> Proc
 
     On Choi states this is exactly the partial trace over P and Q (the
     maximally mixed input is what makes the marginal the reduced channel's
-    Choi, with no renormalization needed).
+    Choi, with no renormalization needed).  With a Kraus factor the factor
+    is traced now and the dense partial trace deferred to the first read.
     """
     P = set(P)
     Q = set(Q)
     _require_subsets(p.input_labels, p.output_labels, P, Q)
-    reduced = trace_out(p.choi, P | Q)
     inputs = tuple(w for w in p.inputs if w.label not in P)
     outputs = tuple(w for w in p.outputs if w.label not in Q)
-    factor = None if p.factor is None else p.factor.trace_out(P | Q)
-    return ProcessMatrix(reduced, inputs, outputs, factor)
+    if p.factor is None:
+        return ProcessMatrix(trace_out(p.choi, P | Q), inputs, outputs)
+
+    def reduced() -> LabelledMatrix:
+        return trace_out(p.choi, P | Q)
+
+    return ProcessMatrix(reduced, inputs, outputs, p.factor.trace_out(P | Q))
 
 
 def marginal(p: ProcessMatrix, drop: Iterable[str]) -> LabelledMatrix | LabelledFactor:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,7 +31,8 @@ from .channels import (
     kraus_rank,
     membership_residuals,
 )
-from .sampling import Rng, sample_outcome_matrix, swaptest_draw_count, wire_povms
+from .fileio import overwrite
+from .sampling import GenerationError, Rng, sample_outcome_matrix, swaptest_draw_count, wire_povms
 from .synth import GroundTruth, SynthSpec, random_comb, random_memoryless
 
 EXIT_OK = 0
@@ -75,9 +77,32 @@ def _read_json(path: str) -> dict:
 
 
 def _write_json(path: str, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+    with overwrite(path, encoding="utf-8") as fh:
+        fh.write(_json_text(obj))
         fh.write("\n")
+
+
+def _json_text(obj: object, pad: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, indented by ``pad``.
+
+    A non-empty list of finite floats, such as a Choi matrix row, is joined
+    in one pass instead of going through the encoder item by item.  Anything
+    else that is not a list or a dict with string keys goes to ``json.dumps``.
+    """
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, (list, tuple)) and obj:
+        try:
+            floats = sep.join(map(float.__repr__, obj))
+        except TypeError:  # an item is not a float
+            floats = None
+        if floats is not None and all(map(math.isfinite, obj)):
+            return f"[\n{inner}{floats}\n{pad}]"
+        return f"[\n{inner}{sep.join(_json_text(v, inner) for v in obj)}\n{pad}]"
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        items = sep.join(f"{json.dumps(k)}: {_json_text(obj[k], inner)}" for k in sorted(obj))
+        return f"{{\n{inner}{items}\n{pad}}}"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
 def load_process(path: str) -> ProcessMatrix:
@@ -121,7 +146,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             proc, perm = random_memoryless(
                 args.n, args.dim, rng, chi_min_target=args.chi_min_target
             )
-        except ValueError as exc:
+        except (ValueError, GenerationError) as exc:
             raise UsageFault(str(exc)) from exc
         ordering = Unravelling(
             tuple(
@@ -147,7 +172,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
                 family=family,
             )
             comb, gt = random_comb(spec, rng)
-        except ValueError as exc:
+        except (ValueError, GenerationError) as exc:
             raise UsageFault(str(exc)) from exc
         truth = gt.to_json()
         _write_json(args.out, comb.to_json())

@@ -30,10 +30,13 @@ from typing import Sequence
 import numpy as np
 
 from .channels import CHANNEL_ATOL, ProcessMatrix
+from .fileio import overwrite
 from .tensors import (
     Direction,
+    LabelledFactor,
     LabelledMatrix,
     WireSystem,
+    overlap,
     wire_dims,
 )
 
@@ -43,6 +46,10 @@ IC_FRAME_FLOOR = 1e-4
 CSV_BLOCK_ROWS = 1024
 # Most cells in the joint outcome space of one OutcomeMatrix.write_csv column run.
 CSV_RUN_CELLS = 1024
+
+
+# A state given to a SWAP test: its density matrix, or a factor F of it (rho = F F+).
+State = LabelledMatrix | LabelledFactor
 
 
 class SanityError(ValueError):
@@ -79,23 +86,17 @@ class Rng:
 # -- SWAP tests ---------------------------------------------------------------
 
 
-def _overlap(rho: LabelledMatrix, sigma: LabelledMatrix) -> float:
-    if rho.entries.shape != sigma.entries.shape:
+def _overlap(rho: State, sigma: State) -> float:
+    if rho.entries.shape[0] != sigma.entries.shape[0]:
         raise ValueError("SWAP test needs states of equal dimension")
-    val = float(np.trace(rho.entries @ sigma.entries).real)
+    val = overlap(rho, sigma)
     if val < -1e-9 or val > 1 + 1e-9:
         raise SanityError(f"Tr[rho sigma] = {val} outside [0, 1] beyond tolerance")
     return min(max(val, 0.0), 1.0)
 
 
-def swap_test_probability(rho: LabelledMatrix, sigma: LabelledMatrix) -> float:
+def swap_test_probability(rho: State, sigma: State) -> float:
     return (1.0 + _overlap(rho, sigma)) / 2.0
-
-
-def swap_test_sample(rho: LabelledMatrix, sigma: LabelledMatrix, rng: Rng) -> int:
-    """One SWAP-test shot: 1 when the control comes out in |+>."""
-    p = swap_test_probability(rho, sigma)
-    return int(rng.generator().random() < p)
 
 
 def swaptest_draw_count(eps: float, kappa: float) -> int:
@@ -109,13 +110,16 @@ def swaptest_draw_count(eps: float, kappa: float) -> int:
 
 
 def swaptest_estimate(
-    rho: LabelledMatrix,
-    sigma: LabelledMatrix,
+    rho: State,
+    sigma: State,
     eps: float,
     kappa: float,
     rng: Rng,
 ) -> float:
-    """Estimate Tr[rho sigma] as 2 c_+/N - 1 from N aggregated shots."""
+    """Estimate Tr[rho sigma] as 2 c_+/N - 1 from N aggregated shots.
+
+    Both states are dense or both are factors; the law is the same.
+    """
     n = swaptest_draw_count(eps, kappa)
     p = swap_test_probability(rho, sigma)
     c_plus = int(rng.generator().binomial(n, p))
@@ -353,7 +357,7 @@ class OutcomeMatrix:
         """
         path = Path(path)
         runs = _csv_column_runs(tuple(povm.n_outcomes for povm in self.povms))
-        with path.open("w", newline="") as fh:
+        with overwrite(path, newline="") as fh:
             csv.writer(fh).writerow(["trial", *self.wire_labels])
             for start in range(0, self.n_rows, CSV_BLOCK_ROWS):
                 block = self.rows[start : start + CSV_BLOCK_ROWS]
@@ -368,9 +372,8 @@ class OutcomeMatrix:
                 for lab, povm in zip(self.wire_labels, self.povms)
             ]
         }
-        path.with_suffix(path.suffix + ".povm.json").write_text(
-            json.dumps(sidecar, indent=2)
-        )
+        with overwrite(path.with_suffix(path.suffix + ".povm.json")) as fh:
+            fh.write(json.dumps(sidecar, indent=2))
 
     @staticmethod
     def read_csv(path: str | Path) -> "OutcomeMatrix":

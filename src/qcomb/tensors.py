@@ -396,6 +396,25 @@ def psd_spectrum(m: LabelledMatrix | LabelledFactor) -> np.ndarray:
     return _psd_eigenvalues(m)
 
 
+def overlap(a: LabelledMatrix | LabelledFactor, b: LabelledMatrix | LabelledFactor) -> float:
+    """Tr[A B] of two Hermitian operators on the same wires, both dense or both factors.
+
+    Dense, it is the entrywise inner product <B, A>.  For factors it is
+    ||F_a+ F_b||_F^2; when that k_a x k_b product would outgrow the d x d
+    Gram matrices, it is <F_b F_b+, F_a F_a+> instead, so nothing larger
+    than the dense operators is ever formed.
+    """
+    if isinstance(a, LabelledFactor) and isinstance(b, LabelledFactor):
+        fa, fb = a.entries, b.entries
+        if fa.shape[1] * fb.shape[1] > fa.shape[0] ** 2:
+            return float(np.vdot(fb @ fb.conj().T, fa @ fa.conj().T).real)
+        m = fa.conj().T @ fb
+        return float(np.vdot(m, m).real)
+    if isinstance(a, LabelledMatrix) and isinstance(b, LabelledMatrix):
+        return float(np.vdot(b.entries, a.entries).real)
+    raise TypeError("overlap needs two dense operators or two factors")
+
+
 def require_psd(m: LabelledMatrix) -> None:
     """Raise NotPSDError unless ``m`` is Hermitian with no eigenvalue below EIG_FLOOR.
 

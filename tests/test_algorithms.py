@@ -564,3 +564,21 @@ def test_memoryless_comparison_rejects_blocks():
     ind = independence_matrix(p, None, 0.05, Rng(1))
     with pytest.raises(ValueError):
         memoryless_comparison(p, res.unravelling, ind)
+
+
+SAMPLED_CASES = [(3, 1, "isometric_chain"), (4, 2, "isometric_chain"), (2, 2, "entangling_c2")]
+
+
+@pytest.mark.parametrize("n,d_env,family", SAMPLED_CASES)
+@pytest.mark.parametrize("c", [1, 2])
+def test_sampled_unravel_on_factor_matches_dense(n, d_env, family, c):
+    p, ref, truth = _seeded_chain(n, d_env, family)
+    params = UnravelParams(mode="sampled", c=c, eta_max=0.3)
+    for seed in range(10):
+        got, want = unravel_general_c(p, params, Rng(seed)), unravel_general_c(ref, params, Rng(seed))
+        assert got.unravelling == want.unravelling
+        assert got.queries == want.queries > 0
+        pairs = zip(got.certificate.records, want.certificate.records, strict=True)
+        for (k, eta, r), (want_k, want_eta, want_r) in pairs:
+            assert k == want_k and r == want_r and abs(eta - want_eta) <= 1e-12
+        assert got.error_bound == pytest.approx(want.error_bound, rel=1e-9, abs=1e-12)

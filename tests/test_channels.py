@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcomb import channels
 from qcomb.channels import (
     Comb,
     ProcessMatrix,
@@ -15,6 +16,7 @@ from qcomb.channels import (
     apply_channel,
     chi1,
     choi_from_kraus,
+    comb_kraus,
     comb_membership,
     compose_comb,
     factored_last_tooth_residual,
@@ -23,6 +25,7 @@ from qcomb.channels import (
     kraus_from_choi,
     kraus_rank,
     last_tooth_candidates,
+    last_tooth_factors,
     last_tooth_marginals,
     last_tooth_residual,
     membership_residuals,
@@ -34,7 +37,7 @@ from qcomb.channels import (
 )
 from qcomb.sampling import Rng
 from qcomb.synth import SynthSpec, random_comb
-from qcomb.tensors import Direction, LabelledMatrix, WireSystem, hs_norm, trace_norm
+from qcomb.tensors import Direction, LabelledMatrix, WireSystem, hs_norm, overlap, trace_norm
 
 PHI_PLUS = 0.5 * np.array(
     [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]], dtype=complex
@@ -532,3 +535,82 @@ class TestKrausFactor:
             assert np.max(np.abs(np.subtract(got, want)), initial=0.0) <= 1e-12
         if d_env > 1:
             assert max(membership_residuals(p, Unravelling(tuple(reversed(truth.steps))))) > 1e-3
+
+
+def _count_calls(monkeypatch, name):
+    """Replace channels.<name> by a wrapper that counts its calls; returns the count list."""
+    calls = []
+    real = getattr(channels, name)
+    monkeypatch.setattr(channels, name, lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def _never_built():
+    raise AssertionError("the dense Choi matrix was built")
+
+
+class TestLazyChoi:
+    @pytest.mark.parametrize("n,d_env,family", CHAIN_CASES)
+    def test_lazy_choi_is_the_eager_assembly_built_once(self, n, d_env, family, monkeypatch):
+        spec = SynthSpec(n=n, d=2, d_mem=2, d_env=d_env, family=family, chi_min_target=0.0)
+        comb, truth = random_comb(spec, Rng(n + d_env))
+        steps = list(reversed(truth.ordering.steps[1:]))
+        refs = [dense(compose_comb(comb))]
+        for pk, qk in steps:
+            refs.append(reduce_channel(refs[-1], pk, qk))
+        assemblies = _count_calls(monkeypatch, "_assemble_choi")
+        reductions = _count_calls(monkeypatch, "trace_out")
+        lazy = [compose_comb(comb)]
+        for pk, qk in steps:
+            lazy.append(reduce_channel(lazy[-1], pk, qk))
+        assert assemblies == [] and reductions == []
+        # The eager loop of choi_from_kraus, run here as the reference.
+        want = np.zeros_like(refs[0].choi.entries)
+        for k in comb_kraus(comb):
+            v = k.T.reshape(-1)
+            want += np.outer(v, v.conj())
+        want /= lazy[0].d_in
+        assert np.array_equal(refs[0].choi.entries, want)
+        for q, ref in zip(lazy, refs, strict=True):
+            assert np.array_equal(q.choi.entries, ref.choi.entries)
+            assert q.choi is q.choi
+        assert len(assemblies) == 1 and len(reductions) == len(steps)
+
+    def test_lazy_process_validates_its_factor_without_building(self):
+        q = cnot_process()
+        ins, outs = q.inputs, q.outputs
+        assert ProcessMatrix(_never_built, ins, outs, q.factor).factor is q.factor
+        with pytest.raises(ValueError, match="wires differ"):
+            ProcessMatrix(_never_built, ins, outs, q.factor.permute_wires(["A2", "A1", "B1", "B2"]))
+        bad = CNOT.copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ProcessMatrix(_never_built, ins, outs, kraus_factor([bad], ins, outs))
+        with pytest.raises(ValueError, match="Choi trace"):
+            ProcessMatrix(_never_built, ins, outs, kraus_factor([CNOT, CNOT], ins, outs))
+        with pytest.raises(ValueError, match="needs a Kraus factor"):
+            ProcessMatrix(_never_built, ins, outs)
+
+    def test_process_is_immutable(self):
+        p = cnot_process()
+        with pytest.raises(AttributeError):
+            p.factor = None
+        with pytest.raises(AttributeError):
+            p.choi = dense(p).choi
+
+    @pytest.mark.parametrize("n,d_env,family", CHAIN_CASES)
+    def test_factor_overlaps_match_dense(self, n, d_env, family):
+        p, truth = _seeded_chain(n, d_env, family=family)
+        ref = dense(p)
+        c = 2 if family == "entangling_c2" else 1
+        branches = set()
+        for pk, qk in reversed(truth.steps):
+            for P, Q in last_tooth_candidates(p.input_labels, p.output_labels, c):
+                f1, f2 = last_tooth_factors(p.factor, P, Q)
+                c1, c2 = last_tooth_marginals(ref, P, Q)
+                for fa, fb, ca, cb in ((f1, f1, c1, c1), (f2, f2, c2, c2), (f1, f2, c1, c2)):
+                    assert abs(overlap(fa, fb) - overlap(ca, cb)) <= 1e-12
+                    branches.add(fa.entries.shape[1] * fb.entries.shape[1] > fa.entries.shape[0] ** 2)
+            if len(p.inputs) > 1:
+                p, ref = reduce_channel(p, pk, qk), reduce_channel(ref, pk, qk)
+        assert branches == {False, True}

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qcomb.cli import main
+from qcomb.cli import _write_json, main
 from qcomb.channels import choi_from_kraus
 from qcomb.tensors import Direction, WireSystem
 
@@ -205,6 +207,39 @@ def test_choi_file_is_validated_densely_and_comb_file_on_its_factor(tmp_path, mo
     assert load_process(str(comb)).factor is not None and calls == [1]
 
 
+def test_comb_and_kraus_files_never_build_the_dense_choi(tmp_path, monkeypatch):
+    import qcomb.channels as channels
+    from qcomb.cli import load_process
+
+    builds = []
+    real = channels._assemble_choi
+    monkeypatch.setattr(channels, "_assemble_choi", lambda *a: builds.append(1) or real(*a))
+    comb, _ = gen_chain(tmp_path, n=3)
+    kraus = tmp_path / "kraus.json"
+    obj = json.loads(write_cnot(tmp_path / "cnot.json").read_text())
+    del obj["choi"]
+    obj.update(repr="kraus", kraus=[{"re": CNOT.real.tolist(), "im": CNOT.imag.tolist()}])
+    kraus.write_text(json.dumps(obj))
+    builds.clear()
+    for proc in (comb, kraus):
+        for mode in ("exact", "sampled"):
+            out = tmp_path / f"{mode}.json"
+            assert main(["unravel", "--process", str(proc), "--mode", mode, "--c", "2",
+                         "--algorithm", "general-c", "--out", str(out)]) == 0
+            assert main(["verify", "--process", str(proc), "--unravelling", str(out)]) == 0
+    assert builds == []
+    assert load_process(str(comb)).choi is not None and builds == [1]
+
+
+def test_generation_error_exits_2_without_output(tmp_path, capsys):
+    out = tmp_path / "m.json"
+    assert main(["generate", "--family", "memoryless", "--n", "2", "--dim", "2",
+                 "--chi-min-target", "1.9", "--seed", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: memoryless: no draw reached") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_non_psd_choi_file_exits_2(tmp_path, capsys):
     # Unit trace and trace-preserving, but eigenvalues 0.5 +- 0.7.
     c = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
@@ -347,3 +382,25 @@ def test_threads_must_be_positive(tmp_path):
         ["unravel", "--process", str(comb), "--threads", "0",
          "--out", str(tmp_path / "r.json")]
     ) == 2
+
+
+# -- JSON writer ------------------------------------------------------------------
+
+_FLOATS = st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf")]) | st.floats().map(
+    np.float64
+)
+_LEAVES = st.none() | st.booleans() | st.integers() | _FLOATS | st.text()
+_JSON = st.recursive(
+    _LEAVES | st.lists(_FLOATS),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(obj=st.dictionaries(st.text(), _JSON, max_size=5))
+@example(obj={"re": [[0.5, -0.0, 1e-300], [2.0, 1e300]], "é": [np.float64(0.1), 3], "x": [1.0, float("nan")]})
+@settings(max_examples=150, deadline=None)
+def test_write_json_matches_json_dumps(tmp_path_factory, obj):
+    path = tmp_path_factory.getbasetemp() / "write_json.json"
+    _write_json(str(path), obj)
+    assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()

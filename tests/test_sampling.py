@@ -27,12 +27,11 @@ from qcomb.sampling import (
     reconstruct_from_frequencies,
     sample_outcome_matrix,
     swap_test_probability,
-    swap_test_sample,
     swaptest_draw_count,
     swaptest_estimate,
     wire_povms,
 )
-from qcomb.tensors import Direction, LabelledMatrix, WireSystem
+from qcomb.tensors import Direction, LabelledFactor, LabelledMatrix, WireSystem
 
 
 def qubit_wire(label="q"):
@@ -89,28 +88,25 @@ def test_swap_probability_mixed():
     assert swap_test_probability(rho, rho) == pytest.approx(0.75)
 
 
-def test_swap_sample_degenerate_laws():
-    rho = state(np.array([[1, 0], [0, 0]], dtype=complex))
-    rng = Rng(11)
-    draws = [swap_test_sample(rho, rho, rng.child(i)) for i in range(50)]
-    assert all(x == 1 for x in draws)
-
-
-def test_swap_sample_is_binary_and_deterministic():
-    gen = np.random.default_rng(0)
-    rho = state(random_density(2, gen))
-    sig = state(random_density(2, gen))
-    vals = {swap_test_sample(rho, sig, Rng(5).child(i)) for i in range(40)}
-    assert vals <= {0, 1}
-    assert swap_test_sample(rho, sig, Rng(5).child(3)) == swap_test_sample(
-        rho, sig, Rng(5).child(3)
-    )
-
-
 def test_swap_sanity_rejects_unnormalized_input():
     big = state(5 * np.eye(2, dtype=complex))
     with pytest.raises(SanityError):
         swap_test_probability(big, big)
+
+
+def test_swap_probability_on_factors_matches_dense():
+    gen = np.random.default_rng(3)
+    wire = qubit_wire()
+    a, b = (gen.normal(size=(2, k)) + 1j * gen.normal(size=(2, k)) for k in (1, 3))
+    fa, fb = (LabelledFactor(f / np.linalg.norm(f), wire) for f in (a, b))
+    assert swap_test_probability(fa, fb) == pytest.approx(
+        swap_test_probability(fa.gram(), fb.gram()), abs=1e-15
+    )
+    with pytest.raises(SanityError):
+        big = LabelledFactor(3 * fb.entries, wire)
+        swap_test_probability(big, big)
+    with pytest.raises(ValueError, match="equal dimension"):
+        swap_test_probability(fa, LabelledFactor(np.ones((3, 1)) / 3, (WireSystem("r", 3, Direction.INPUT),)))
 
 
 def test_swap_dimension_mismatch():

@@ -21,6 +21,7 @@ from qcomb.tensors import (
     identity,
     matrix_rank,
     maximally_mixed,
+    overlap,
     partial_trace,
     permute_wires,
     rank_eta,
@@ -492,3 +493,19 @@ class TestLabelledFactor:
         f = random_factor(np.random.default_rng(3), FACTOR_WIRES, 1)
         with pytest.raises(ValueError):
             difference_trace_norm(f, f.permute_wires(["A2", "A1", "B1", "B2"]))
+
+    @pytest.mark.parametrize("k_a,k_b", [(1, 1), (0, 3), (3, 30), (24, 24), (24, 25), (30, 30)])
+    def test_overlap_matches_dense(self, k_a, k_b):
+        # 24 rows: products of column counts above 576 take the Gram branch.
+        rng = np.random.default_rng(k_a + 100 * k_b)
+        a = random_factor(rng, FACTOR_WIRES, k_a)
+        b = random_factor(rng, FACTOR_WIRES, k_b)
+        for x, y in ((a, b), (b, a), (a, a)):
+            want = float(np.trace(x.gram().entries @ y.gram().entries).real)
+            assert overlap(x, y) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert overlap(x.gram(), y.gram()) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_overlap_needs_a_matching_pair(self):
+        f = random_factor(np.random.default_rng(4), FACTOR_WIRES, 2)
+        with pytest.raises(TypeError):
+            overlap(f, f.gram())
